@@ -15,6 +15,7 @@ byte-identical CSV output.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -24,12 +25,14 @@ import numpy as np
 
 from . import __version__
 from . import catalog as catalog_mod
+from ._csv import csv_text, grid_rows
 from .duality import (controllable_subspace, dual_deterministic_markov,
                       dual_lq_linear_gaussian, duality_check_mc, gramian_mc, is_observable,
                       is_stabilizable)
 from .filters import innovation_path, kalman_bucy, solve_are, wonham_filter, zakai_filter
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, model_from_dict, validate
-from .sim import observation_csv, simulate_hmm, simulate_linear_gaussian, state_path_csv
+from .sim import (n_steps_for, observation_csv, simulate_hmm, simulate_linear_gaussian,
+                  state_path_csv)
 from .smoothing import forward_backward_smoother, fraser_potter_smoother, rts_smoother
 from .stability import (PriorPair, chi2_bound_check, ergodic_class_detection,
                         kl_supermartingale_check, pi_constant)
@@ -78,6 +81,29 @@ def _jsonify(obj):
     return obj
 
 
+# experiments that draw Monte-Carlo paths; ``kalman`` does on finite-state models
+MONTE_CARLO = frozenset({"gramian", "duality-check", "stability", "detect-classes"})
+
+
+def _check_grid_and_paths(config: ExperimentConfig, model) -> None:
+    """Reject a time grid or a path count that the experiment cannot run on."""
+    try:
+        dt, horizon = float(config.dt), float(config.horizon)
+    except (TypeError, ValueError):
+        raise click.UsageError(f"dt and horizon must be numbers, got {config.dt!r} and {config.horizon!r}")
+    if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf):
+        raise click.UsageError(f"dt and horizon must be positive and finite, got {dt:g} and {horizon:g}")
+    try:
+        n_steps_for(horizon, dt)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    draws = config.experiment in MONTE_CARLO or (
+        config.experiment == "kalman" and isinstance(model, HmmModel))
+    if draws and not (isinstance(config.n_paths, int) and config.n_paths >= 2):
+        raise click.UsageError(
+            f"{config.experiment} needs at least 2 Monte-Carlo paths, got {config.n_paths!r}")
+
+
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment and write its artifacts; returns the exit code."""
     runners = {
@@ -101,6 +127,7 @@ def run(config: ExperimentConfig) -> int:
     problems = validate(model)
     if problems:
         raise click.UsageError("invalid model: " + "; ".join(problems))
+    _check_grid_and_paths(config, model)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -144,10 +171,8 @@ def _run_simulate(config: ExperimentConfig, model):
         values = {"n_jumps": len(sp.jump_times) - 1, "n_steps": obs.n_steps}
     else:
         xs, obs = simulate_linear_gaussian(model, config.horizon, config.dt, config.seed)
-        rows = ["t," + ",".join(f"x_{i + 1}" for i in range(model.dim))]
-        for k in range(xs.shape[0]):
-            rows.append(repr(k * config.dt) + "," + ",".join(repr(v) for v in xs[k]))
-        files["states.csv"] = "\n".join(rows) + "\n"
+        head = "t," + ",".join(f"x_{i + 1}" for i in range(model.dim))
+        files["states.csv"] = csv_text(head, grid_rows(config.dt, xs))
         files["observations.csv"] = observation_csv(obs)
         values = {"n_steps": obs.n_steps}
     return [], values, files
@@ -224,12 +249,11 @@ def _run_analyze(config: ExperimentConfig, model):
         "basis": sub.basis,
         "complement_basis": complement.basis,
     }
-    rows = ["vector," + ",".join(f"e_{i + 1}" for i in range(model.dim))]
-    for k in range(sub.dim):
-        rows.append(f"basis_{k + 1}," + ",".join(repr(v) for v in sub.basis[:, k]))
-    for k in range(complement.dim):
-        rows.append(f"complement_{k + 1}," + ",".join(repr(v) for v in complement.basis[:, k]))
-    return checks, values, {"subspace.csv": "\n".join(rows) + "\n"}
+    rows = [[f"{label}_{k + 1}", *vec.tolist()]
+            for label, basis in (("basis", sub.basis), ("complement", complement.basis))
+            for k, vec in enumerate(basis.T)]
+    head = "vector," + ",".join(f"e_{i + 1}" for i in range(model.dim))
+    return checks, values, {"subspace.csv": csv_text(head, rows)}
 
 
 def _run_gramian(config: ExperimentConfig, model):
@@ -239,13 +263,11 @@ def _run_gramian(config: ExperimentConfig, model):
     sub = controllable_subspace(model, config.tol)
     rank = est.rank(rel_tol=config.tol)
     checks = [Check("rank_matches_closure_dim", rank == sub.dim, float(rank), float(sub.dim))]
-    rows = ["i,j,mean,stderr"]
     d = model.dim
-    for i in range(d):
-        for j in range(d):
-            rows.append(f"{i + 1},{j + 1},{est.mean[i, j]!r},{est.stderr[i, j]!r}")
+    rows = ([i + 1, j + 1, est.mean[i, j].item(), est.stderr[i, j].item()]
+            for i in range(d) for j in range(d))
     values = {"rank": rank, "closure_dim": sub.dim, "mean": est.mean, "stderr": est.stderr}
-    return checks, values, {"gramian.csv": "\n".join(rows) + "\n"}
+    return checks, values, {"gramian.csv": csv_text("i,j,mean,stderr", rows)}
 
 
 def _run_duality_check(config: ExperimentConfig, model):
@@ -254,8 +276,7 @@ def _run_duality_check(config: ExperimentConfig, model):
     rng = np.random.default_rng(config.seed)
     n = int(round(config.horizon / config.dt))
     f = rng.standard_normal(model.dim)
-    checks = []
-    rows = ["control,j_value,mse,stderr,z"]
+    checks, rows = [], []
     for trial in range(5):
         blocks = -(-n // 10)  # ceil; truncated back to n below
         u = rng.standard_normal((10, model.n_channels)).repeat(blocks, axis=0)[:n] * 0.4
@@ -263,8 +284,8 @@ def _run_duality_check(config: ExperimentConfig, model):
                                       horizon=config.horizon)
         z = abs(j - mse) / se if se > 0 else 0.0
         checks.append(Check(f"duality_gap_control_{trial}", z <= 3.0, z, 3.0))
-        rows.append(f"{trial},{j!r},{mse!r},{se!r},{z!r}")
-    return checks, {"f": f}, {"duality.csv": "\n".join(rows) + "\n"}
+        rows.append([trial, float(j), mse, se, float(z)])
+    return checks, {"f": f}, {"duality.csv": csv_text("control,j_value,mse,stderr,z", rows)}
 
 
 def _run_stability(config: ExperimentConfig, model):
@@ -306,12 +327,11 @@ def _run_stability(config: ExperimentConfig, model):
                                       min(config.n_paths, 4000), config.seed + 1)
     checks.append(Check("kl_bounded_by_prior", kl_rep["bounded_by_prior"], kl_rep["kl_prior"], kl_rep["kl_prior"]))
     checks.append(Check("kl_non_increasing", kl_rep["non_increasing"], 1.0, 1.0))
-    rows = ["t,lhs,rhs,stderr,holds"]
-    for t, lhs, rhs, se, ok in zip(report["times"], report["lhs"], report["rhs"],
-                                   report["stderr"], report["holds"]):
-        rows.append(f"{t!r},{lhs!r},{rhs!r},{se!r},{int(ok)}")
+    rows = zip(*(np.asarray(report[key], dtype=float).tolist()
+                 for key in ("times", "lhs", "rhs", "stderr")),
+               np.asarray(report["holds"], dtype=int).tolist())
     values["chi2_prior"] = report["chi2_prior"]
-    files = {"chi2_bound.csv": "\n".join(rows) + "\n",
+    files = {"chi2_bound.csv": csv_text("t,lhs,rhs,stderr,holds", rows),
              "divergences.csv": report["trace"].csv()}
     return checks, values, files
 
@@ -324,10 +344,9 @@ def _run_detect_classes(config: ExperimentConfig, model):
     pair = PriorPair.of(model.prior.entries, nu)
     rep = ergodic_class_detection(model, pair, config.horizon, config.dt, config.n_paths, config.seed)
     checks = [Check("decomposition_identity", rep["decomposition_ok"], rep["decomposition_gap"], 1e-8)]
-    rows = ["class,states,detection_error,stderr"]
-    for k, cls in enumerate(rep["classes"]):
-        rows.append(f"{k + 1},{'|'.join(str(s) for s in cls)},{rep['detection_error'][k]!r},{rep['detection_stderr'][k]!r}")
-    return checks, rep, {"detection.csv": "\n".join(rows) + "\n"}
+    rows = ([k + 1, "|".join(str(s) for s in cls), float(rep["detection_error"][k]),
+             float(rep["detection_stderr"][k])] for k, cls in enumerate(rep["classes"]))
+    return checks, rep, {"detection.csv": csv_text("class,states,detection_error,stderr", rows)}
 
 
 def _run_kalman(config: ExperimentConfig, model):

@@ -10,24 +10,33 @@ with increment ``dZ``:
 The scheme preserves positivity unconditionally and coincides with the exact
 filter of the discrete-time hidden Markov model induced on the grid, which
 is what makes machine-precision oracle comparisons possible elsewhere in the
-package.  The Wonham filter renormalizes every step; the Zakai filter keeps
-the unnormalized mass, carrying its total in log domain so long horizons
-cannot underflow.
+package.
+
+One kernel, :func:`_advance`, runs the scheme on a batch of rows,
+renormalizing every step and recording the mass it divides out; a single
+record runs it in about ``sqrt(n)`` chunks side by side (:func:`_scan`).
+The Wonham filters use raw likelihoods, so a mass underflow is reported at
+its step; the Zakai filter and the smoother factor each step's largest log
+likelihood into the log normalizer instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
+from ._csv import csv_text, grid_rows
 from ._linalg import cached_expm, symmetrize
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, as_simplex, q_matrices
 
 Array = NDArray[np.float64]
 
 MASS_FLOOR = 1e-300
+SCAN_FLOOR = 1e-200      # smallest chunk-start mass the chunked scan trusts
+BATCH_BLOCK = 16         # steps of likelihoods wonham_filter_batch forms at once
 OPERATOR_RESCALE_ABOVE = 1e150
 
 
@@ -52,11 +61,7 @@ class BeliefPath:
     def csv(self) -> str:
         d = self.beliefs.shape[1]
         head = "t," + ",".join(f"pi_{i + 1}" for i in range(d))
-        rows = [head] + [
-            repr(k * self.dt) + "," + ",".join(repr(v) for v in self.beliefs[k])
-            for k in range(self.beliefs.shape[0])
-        ]
-        return "\n".join(rows) + "\n"
+        return csv_text(head, grid_rows(self.dt, self.beliefs))
 
 
 @dataclass(frozen=True)
@@ -119,12 +124,8 @@ class GaussianBeliefPath:
         d = self.means.shape[1]
         head = ("t," + ",".join(f"m_{i + 1}" for i in range(d)) + ","
                 + ",".join(f"Sigma_{i + 1}{j + 1}" for i in range(d) for j in range(d)))
-        rows = [head]
-        for k in range(self.means.shape[0]):
-            rows.append(repr(k * self.dt) + ","
-                        + ",".join(repr(v) for v in self.means[k]) + ","
-                        + ",".join(repr(v) for v in self.covs[k].ravel()))
-        return "\n".join(rows) + "\n"
+        n = self.means.shape[0]
+        return csv_text(head, grid_rows(self.dt, np.hstack([self.means, self.covs.reshape(n, -1)])))
 
 
 def _check_hmm_inputs(model: HmmModel, obs) -> None:
@@ -132,32 +133,86 @@ def _check_hmm_inputs(model: HmmModel, obs) -> None:
         raise ValueError(f"observation has {obs.n_channels} channels, model has {model.n_channels}")
 
 
-def step_likelihoods(h: Array, increments: Array, dt: float) -> Array:
-    """Per-step correction factors ``exp(h(i)^T dZ - |h(i)|^2 dt / 2)``.
+def _log_likelihoods(h: Array, increments: Array, dt: float) -> Array:
+    """Per-step log correction factors ``h(i)^T dZ - |h(i)|^2 dt / 2``;
+    ``increments`` (..., m) gives shape (..., d)."""
+    out = increments @ h.T
+    out -= 0.5 * np.sum(h * h, axis=1) * dt
+    return out
 
-    ``increments`` has shape (..., m); the result has shape (..., d).
+
+def _advance(step: Array, like: Array, x: Array, rows: Array, mass: Array | None = None,
+             keep: int = 1, first: int = 0) -> Array:
+    """The forward kernel: ``x <- like[:, i] * (x @ step)``, renormalized, on
+    B rows at once for each step ``i`` (step ``first + i`` of the record) of
+    ``like`` (B, c, d).  Every ``keep``-th record step's rows fill ``rows[:, 0],
+    rows[:, 1], ...``; ``mass[:, i]`` gets the mass divided out.  Returns x.
     """
-    quad = 0.5 * np.sum(h * h, axis=1) * dt
-    return np.exp(increments @ h.T - quad)
+    ones = np.ones(step.shape[0])                     # x @ ones sums rows faster than sum(axis=1)
+    for i in range(like.shape[1]):
+        x = x @ step * like[:, i]
+        s = x @ ones
+        lo, hi = s.min(initial=np.inf), s.max(initial=0.0)      # B may be 0
+        if not (lo > MASS_FLOOR and hi < np.inf):
+            kind = "overflow" if lo > MASS_FLOOR else "underflow"
+            raise NumericalFailure(f"posterior mass {kind}", step=first + i)
+        x /= s[:, None]
+        if mass is not None:
+            mass[:, i] = s
+        if (first + i + 1) % keep == 0:
+            rows[:, (first + i + 1) // keep - first // keep - 1] = x
+    return x
+
+
+def _scan(step: Array, log_like: Array, x0: Array, shift: bool) -> tuple[Array, Array]:
+    """Rows (n + 1, d) and log normalizer (n + 1,) of one record ``log_like``
+    (n, d) through :func:`_advance` in about ``3 sqrt(n)`` vector operations;
+    ``shift`` factors each step's largest log likelihood out before ``exp``.
+
+    Products of k chunks of ``c = isqrt(n)`` steps, built side by side, carry
+    the rows from chunk start to chunk start (no factor is negative, so
+    nothing cancels); then the kernel runs in all chunks at once.  If that
+    leaves the range the scan trusts, the record runs step by step.
+    """
+    n, d = log_like.shape
+    peak = log_like.max(axis=1) if shift else np.zeros(n)
+    like = np.exp(log_like - peak[:, None])
+    rows, logn = np.empty((n + 1, d)), np.zeros(n + 1)
+    rows[0], mass = x0, logn[1:]                      # masses first, logs at the end
+    c = max(1, math.isqrt(n))
+    k = n // c
+    chunks = like[:k * c].reshape(k, c, d)
+    prod = np.tile(np.eye(d), (k, 1))                 # k stacked (d, d) chunk products
+    with np.errstate(all="ignore"):                   # a broken product fails its mass check
+        for i in range(c):
+            prod = (prod @ step).reshape(k, d, d) * chunks[:, i, None, :]
+            prod = (prod / prod.max(axis=(1, 2), keepdims=True)).reshape(k * d, d)
+    starts = rows[:k * c + 1:c]
+    try:
+        for j in range(k):
+            v = starts[j] @ prod[j * d:(j + 1) * d]
+            if not SCAN_FLOOR < v.sum() < np.inf:
+                raise NumericalFailure("chunk product out of range")
+            starts[j + 1] = v / v.sum()
+        _advance(step, chunks, starts[:k], rows[1:k * c + 1].reshape(k, c, d),
+                 mass[:k * c].reshape(k, c))
+        _advance(step, like[None, k * c:], starts[k:], rows[None, k * c + 1:], mass[None, k * c:])
+        scanned = True
+    except NumericalFailure:
+        scanned = False
+    if not scanned:
+        _advance(step, like[None], x0[None], rows[None, 1:], mass[None])
+    np.cumsum(np.log(mass) + peak, out=mass)
+    return rows, logn
 
 
 def wonham_filter(model: HmmModel, prior, obs) -> BeliefPath:
     """Optimal nonlinear filter of a finite-state chain, renormalized each step."""
     _check_hmm_inputs(model, obs)
-    prior = as_simplex(prior)
-    trans = cached_expm(model.rate.entries.T, obs.dt)
-    like = step_likelihoods(model.obs.entries, obs.increments, obs.dt)
-    out = np.empty((obs.n_steps + 1, model.dim))
-    out[0] = prior.entries
-    pi = prior.entries
-    for k in range(obs.n_steps):
-        pi = like[k] * (trans @ pi)
-        mass = pi.sum()
-        if not mass > MASS_FLOOR:
-            raise NumericalFailure("posterior mass underflow", step=k)
-        pi = pi / mass
-        out[k + 1] = pi
-    return BeliefPath(dt=obs.dt, beliefs=out)
+    beliefs, _ = _scan(cached_expm(model.rate.entries.T, obs.dt).T,
+                       _log_likelihoods(model.obs.entries, obs.increments, obs.dt),
+                       as_simplex(prior).entries, shift=False)
+    return BeliefPath(dt=obs.dt, beliefs=beliefs)
 
 
 def wonham_filter_batch(model: HmmModel, prior, increments: Array, dt: float,
@@ -166,27 +221,21 @@ def wonham_filter_batch(model: HmmModel, prior, increments: Array, dt: float,
 
     ``increments`` has shape (n_paths, n_steps, m); returns beliefs of shape
     (n_paths, n_steps // keep_every + 1, d) at grid points ``0, keep_every,
-    2 keep_every, ...``.  Only the kept beliefs are stored, so subsampling
-    bounds the memory of long batches.
+    2 keep_every, ...``.  Only the kept beliefs are stored, and likelihoods
+    are formed a block of steps at a time, so subsampling bounds the memory
+    of long batches.
     """
     if keep_every < 1:
         raise ValueError("keep_every must be at least 1")
     prior = as_simplex(prior)
     n_paths, n_steps, _ = increments.shape
-    trans_t = cached_expm(model.rate.entries.T, dt).T  # beliefs are rows: pi @ trans_t
-    h = model.obs.entries
-    quad = 0.5 * np.sum(h * h, axis=1) * dt
+    step = cached_expm(model.rate.entries.T, dt).T
     out = np.empty((n_paths, n_steps // keep_every + 1, model.dim))
-    out[:, 0] = prior.entries
-    pi = np.broadcast_to(prior.entries, (n_paths, model.dim)).copy()
-    for k in range(n_steps):
-        pi = (pi @ trans_t) * np.exp(increments[:, k] @ h.T - quad)
-        mass = pi.sum(axis=1)
-        if not np.all(mass > MASS_FLOOR):
-            raise NumericalFailure("posterior mass underflow", step=k)
-        pi = pi / mass[:, None]
-        if (k + 1) % keep_every == 0:
-            out[:, (k + 1) // keep_every] = pi
+    out[:, 0] = x = prior.entries
+    for b in range(0, n_steps, BATCH_BLOCK):
+        like = _log_likelihoods(model.obs.entries, increments[:, b:b + BATCH_BLOCK], dt)
+        np.exp(like, out=like)
+        x = _advance(step, like, x, out[:, b // keep_every + 1:], keep=keep_every, first=b)
     return out
 
 
@@ -197,25 +246,9 @@ def zakai_filter(model: HmmModel, prior, obs) -> UnnormalizedPath:
     for horizons where ``sigma_t(1)`` itself would under- or overflow.
     """
     _check_hmm_inputs(model, obs)
-    prior = as_simplex(prior)
-    h = model.obs.entries
-    trans = cached_expm(model.rate.entries.T, obs.dt)
-    quad = 0.5 * np.sum(h * h, axis=1) * obs.dt
-    log_like = obs.increments @ h.T - quad
-    masses = np.empty((obs.n_steps + 1, model.dim))
-    logn = np.empty(obs.n_steps + 1)
-    masses[0] = prior.entries
-    logn[0] = 0.0
-    pi = prior.entries
-    for k in range(obs.n_steps):
-        # factor the largest log likelihood into the normalizer so extreme
-        # increments cannot underflow the per-step correction
-        peak = log_like[k].max()
-        pi = np.exp(log_like[k] - peak) * (trans @ pi)
-        mass = pi.sum()
-        pi = pi / mass
-        masses[k + 1] = pi
-        logn[k + 1] = logn[k] + np.log(mass) + peak
+    masses, logn = _scan(cached_expm(model.rate.entries.T, obs.dt).T,
+                         _log_likelihoods(model.obs.entries, obs.increments, obs.dt),
+                         as_simplex(prior).entries, shift=True)
     return UnnormalizedPath(dt=obs.dt, masses=masses, log_normalizer=logn)
 
 
@@ -228,7 +261,7 @@ def zakai_operator(model: HmmModel, obs) -> ZakaiOperatorPath:
     _check_hmm_inputs(model, obs)
     d = model.dim
     trans = cached_expm(model.rate.entries.T, obs.dt)
-    like = step_likelihoods(model.obs.entries, obs.increments, obs.dt)
+    like = np.exp(_log_likelihoods(model.obs.entries, obs.increments, obs.dt))
     psi = np.empty((obs.n_steps + 1, d, d))
     log_scale = np.zeros((obs.n_steps + 1, d))
     psi[0] = np.eye(d)

@@ -10,13 +10,13 @@ increments are pure Brownian noise, independent of the state path.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 from numpy.typing import NDArray
 
+from ._csv import csv_text, grid_rows
 from ._rng import path_rng
 from .models import HmmModel, LinearGaussianModel
 
@@ -241,19 +241,10 @@ def _ctmc_with_rng(model: HmmModel, horizon: float, rng: np.random.Generator) ->
 
 def state_path_csv(path: StatePath) -> str:
     """Jump representation, columns ``t,state``."""
-    buf = io.StringIO()
-    buf.write("t,state\n")
-    for t, s in zip(path.jump_times, path.states):
-        buf.write(f"{t!r},{int(s)}\n")
-    return buf.getvalue()
+    return csv_text("t,state", zip(path.jump_times.tolist(), path.states.tolist()))
 
 
 def observation_csv(obs: ObservationPath) -> str:
     """Increment representation, columns ``t,dZ_1..dZ_m`` (t = step start)."""
-    buf = io.StringIO()
     cols = ",".join(f"dZ_{j + 1}" for j in range(obs.n_channels))
-    buf.write(f"t,{cols}\n")
-    for k in range(obs.n_steps):
-        vals = ",".join(repr(v) for v in obs.increments[k])
-        buf.write(f"{k * obs.dt!r},{vals}\n")
-    return buf.getvalue()
+    return csv_text(f"t,{cols}", grid_rows(obs.dt, obs.increments))

@@ -21,7 +21,9 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import logsumexp
 
+from ._csv import csv_text, grid_rows
 from ._linalg import cached_expm, symmetrize, van_loan_discretization
+from .filters import _log_likelihoods, _scan
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, as_simplex
 
 Array = NDArray[np.float64]
@@ -47,10 +49,8 @@ class SmoothingPath:
 
     def csv(self) -> str:
         d = self.smoothed.shape[1]
-        rows = ["t," + ",".join(f"smoothed_{i + 1}" for i in range(d))]
-        for k in range(self.smoothed.shape[0]):
-            rows.append(repr(k * self.dt) + "," + ",".join(repr(v) for v in self.smoothed[k]))
-        return "\n".join(rows) + "\n"
+        return csv_text("t," + ",".join(f"smoothed_{i + 1}" for i in range(d)),
+                        grid_rows(self.dt, self.smoothed))
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,8 @@ class GaussianSmoothingPath:
 
     def csv(self) -> str:
         d = self.smoothed_means.shape[1]
-        rows = ["t," + ",".join(f"x_{i + 1}" for i in range(d))]
-        for k in range(self.smoothed_means.shape[0]):
-            rows.append(repr(k * self.dt) + "," + ",".join(repr(v) for v in self.smoothed_means[k]))
-        return "\n".join(rows) + "\n"
+        return csv_text("t," + ",".join(f"x_{i + 1}" for i in range(d)),
+                        grid_rows(self.dt, self.smoothed_means))
 
 
 def forward_backward_smoother(model: HmmModel, obs, prior=None) -> SmoothingPath:
@@ -81,33 +79,28 @@ def forward_backward_smoother(model: HmmModel, obs, prior=None) -> SmoothingPath
     ``q_k = expm(A dt) (g_k . q_{k+1})`` with ``q_N = 1``, where ``g_k`` is
     the Gaussian increment likelihood of step ``k``.  The smoothed law at
     ``t_k`` is proportional to the elementwise product of the two passes.
+
+    Both run the forward kernel of :mod:`dualfilter.filters`, the backward
+    one on ``w_{j+1} = g_{n-2-j} . (expm(A dt) w_j)``, ``w_0 = g_{n-1}``, so
+    that ``q_k = expm(A dt) w_{n-1-k}``.
     """
     prior = as_simplex(model.prior if prior is None else prior)
     n, dt = obs.n_steps, obs.dt
     d = model.dim
-    trans_meas = cached_expm(model.rate.entries.T, dt)   # acts on measures
-    trans_fun = trans_meas.T                             # acts on functions
-    h = model.obs.entries
-    quad = 0.5 * np.sum(h * h, axis=1) * dt
-    log_like = obs.increments @ h.T - quad               # (n, d)
-
-    log_fwd = np.empty((n + 1, d))
+    step = cached_expm(model.rate.entries.T, dt).T       # expm(A dt); rows are beliefs
+    log_like = _log_likelihoods(model.obs.entries, obs.increments, dt)
+    fwd, log_mass = _scan(step, log_like, prior.entries, shift=True)
     with np.errstate(divide="ignore"):
-        log_fwd[0] = np.log(prior.entries)
-    for k in range(n):
-        prev = log_fwd[k]
-        peak = prev.max()
-        pred = trans_meas @ np.exp(prev - peak)
-        with np.errstate(divide="ignore"):
-            log_fwd[k + 1] = np.log(pred) + peak + log_like[k]
+        log_fwd = np.log(fwd) + log_mass[:, None]
 
-    log_bwd = np.empty((n + 1, d))
-    log_bwd[n] = 0.0
-    for k in range(n - 1, -1, -1):
-        nxt = log_bwd[k + 1] + log_like[k]
-        peak = nxt.max()
+    log_bwd = np.zeros((n + 1, d))
+    if n:
+        peak = log_like[-1].max()
+        w0 = np.exp(log_like[-1] - peak)
+        bwd, log_mass = _scan(step.T, log_like[:-1][::-1], w0 / w0.sum(), shift=True)
+        log_mass += peak + np.log(w0.sum())
         with np.errstate(divide="ignore"):
-            log_bwd[k] = np.log(trans_fun @ np.exp(nxt - peak)) + peak
+            log_bwd[:-1] = np.log(bwd[::-1] @ step.T) + log_mass[::-1, None]
 
     joint = log_fwd + log_bwd
     smoothed = np.exp(joint - logsumexp(joint, axis=1, keepdims=True))

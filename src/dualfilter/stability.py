@@ -17,6 +17,7 @@ from typing import Literal
 import numpy as np
 from numpy.typing import NDArray
 
+from ._csv import csv_text, grid_rows
 from .filters import wonham_filter_batch
 from .models import HmmModel, as_simplex, ergodic_classes, invariant_measure, q_matrices
 from .sim import batch_hmm_observations, n_steps_for
@@ -107,12 +108,9 @@ class DivergenceTrace:
         return np.arange(self.chi2.shape[0]) * self.dt
 
     def csv(self) -> str:
-        rows = ["t,chi2,chi2_stderr,kl,kl_stderr,tv,tv_stderr"]
-        for k in range(self.chi2.shape[0]):
-            rows.append(",".join(repr(v) for v in (
-                k * self.dt, self.chi2[k], self.chi2_stderr[k],
-                self.kl[k], self.kl_stderr[k], self.tv[k], self.tv_stderr[k])))
-        return "\n".join(rows) + "\n"
+        table = np.column_stack([self.chi2, self.chi2_stderr, self.kl, self.kl_stderr,
+                                 self.tv, self.tv_stderr])
+        return csv_text("t,chi2,chi2_stderr,kl,kl_stderr,tv,tv_stderr", grid_rows(self.dt, table))
 
 
 def _mean_stderr(x: Array) -> tuple[Array, Array]:

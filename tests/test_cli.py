@@ -1,6 +1,7 @@
 """Experiment runner: artifacts, determinism, exit codes."""
 
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -164,3 +165,75 @@ class TestRun:
         assert res.exit_code == 2
         res = runner.invoke(main, ["analyze", "no_such_model", "--out", str(tmp_path)])
         assert res.exit_code == 2
+
+
+# every CSV an experiment writes, at a size that runs in about a second
+SMALL_RUNS = [
+    ("simulate", "doeblin_demo", {}),
+    ("simulate", "scalar_lg", {}),
+    ("filter", "doeblin_demo", {}),
+    ("filter", "scalar_lg", {}),
+    ("smooth", "doeblin_demo", {}),
+    ("smooth", "scalar_lg", {"dt": 1e-3}),
+    ("analyze", "counter_example", {}),
+    ("gramian", "counter_example", {"n_paths": 20, "horizon": 1.0, "dt": 0.05}),
+    ("duality-check", "doeblin_demo", {"n_paths": 20, "horizon": 0.5}),
+    ("stability", "doeblin_demo", {"n_paths": 20, "horizon": 1.0}),
+    ("detect-classes", "two_class_demo", {"n_paths": 10, "horizon": 2.0}),
+]
+INT_COLUMNS = {"state", "i", "j", "control", "holds", "class"}
+CSV_NAMES = {"states", "observations", "beliefs", "smoothed", "subspace", "gramian", "duality",
+             "chi2_bound", "divergences", "detection"}
+
+
+def assert_cells_parse(path):
+    lines = path.read_text().splitlines()
+    head = lines[0].split(",")
+    assert len(lines) > 1
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == len(head), line
+        for name, cell in zip(head, cells):
+            if name in INT_COLUMNS:
+                int(cell)
+            elif name == "states":
+                [int(s) for s in cell.split("|")]
+            elif name == "vector":
+                assert re.fullmatch(r"(basis|complement)_\d+", cell)
+            else:
+                float(cell)
+
+
+class TestArtifacts:
+    def test_every_csv_cell_parses(self, tmp_path):
+        seen = set()
+        for k, (experiment, model, fields) in enumerate(SMALL_RUNS):
+            out = tmp_path / f"{k}"
+            run(ExperimentConfig(experiment=experiment, model=model, out=str(out), **fields))
+            for path in out.glob("*.csv"):
+                assert_cells_parse(path)
+                seen.add(path.stem)
+        assert seen == CSV_NAMES
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--dt", "0"],
+        ["filter", "--horizon", "-1"],
+        ["gramian", "--paths", "1"],
+        ["duality-check", "--horizon", "1", "--dt", "0.3"],
+        ["stability", "--paths", "1"],
+    ])
+    def test_exits_two_before_writing(self, runner, tmp_path, args):
+        out = tmp_path / "out"
+        res = runner.invoke(main, [*args, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "Error" in res.output
+        assert not out.exists()
+
+    def test_kalman_needs_paths_only_on_a_chain(self, runner, tmp_path):
+        res = runner.invoke(main, ["kalman", "doeblin_demo", "--paths", "1",
+                                   "--out", str(tmp_path / "chain")])
+        assert res.exit_code == 2
+        res = invoke(runner, "kalman", "--paths", "1", "--out", str(tmp_path / "lg"))
+        assert res.exit_code == 0

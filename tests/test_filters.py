@@ -1,17 +1,21 @@
 """Filter recursions: Wonham, Zakai, solution operator, Kalman-Bucy, chain KF."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import bounded_vectors, make_hmm, random_hmm, rate_matrices
+from conftest import bounded_vectors, make_hmm, random_hmm, rate_matrices, simplex_vectors
+from loop_oracles import forward_backward_loop, wonham_batch_loop, wonham_loop, zakai_loop
 from dualfilter.catalog import counter_example, scalar_lg, two_state
 from dualfilter.filters import (innovation_path, kalman_bucy, kf_markov_chain, solve_are,
                                 wonham_filter, wonham_filter_batch, zakai_filter, zakai_operator)
 from dualfilter.models import LinearGaussianModel, NumericalFailure
 from dualfilter.sim import ObservationPath, simulate_hmm, simulate_linear_gaussian
+from dualfilter.smoothing import forward_backward_smoother
 
 
 def zero_obs(n, dt, m=1):
@@ -119,6 +123,108 @@ class TestWonham:
         obs = ObservationPath(dt=1.0, increments=np.array([[1.0], [1.0], [1.0]]))
         with pytest.raises(NumericalFailure, match="step"):
             wonham_filter(m, m.prior, obs)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random chain, prior and record; the record length hits the chunk
+    boundaries of the scan (0, 1, 2, c^2 - 1, c^2, c^2 + 1) or is random."""
+    d = draw(st.integers(2, 5))
+    a = draw(rate_matrices(d))
+    h = draw(bounded_vectors(d, bound=2.0))
+    prior = draw(simplex_vectors(d))
+    c = draw(st.integers(2, 40))
+    n = draw(st.one_of(st.integers(3, 3000),
+                       st.sampled_from([c * c - 1, c * c, c * c + 1, 0, 1, 2])))
+    dt = draw(st.sampled_from([0.005, 0.02, 0.1]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    inc = np.sqrt(dt) * np.random.default_rng(seed).standard_normal((n, 1))
+    return make_hmm(a, h, prior), ObservationPath(dt=dt, increments=inc)
+
+
+def assert_scan_matches_loop(m, obs):
+    n = obs.n_steps
+    bel = wonham_filter(m, m.prior, obs).beliefs
+    assert np.abs(bel - wonham_loop(m, m.prior, obs).beliefs).max() <= 1e-13
+    unn, ref = zakai_filter(m, m.prior, obs), zakai_loop(m, m.prior, obs)
+    assert np.abs(unn.masses - ref.masses).max() <= 1e-13
+    assert np.abs(unn.log_normalizer - ref.log_normalizer).max() <= 1e-12 * max(1, n)
+    sm = forward_backward_smoother(m, obs).smoothed
+    assert np.abs(sm - forward_backward_loop(m, obs).smoothed).max() <= 1e-13
+
+
+class TestForwardKernel:
+    """The chunked scan against the per-step loops it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases())
+    def test_scan_matches_loop(self, case):
+        assert_scan_matches_loop(*case)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 899, 900, 901, 2500, 10_000])
+    def test_scan_matches_loop_at_chunk_edges(self, n):
+        rng = np.random.default_rng(n)
+        for d in range(2, 6):
+            m = random_hmm(rng, d=d, m=2)
+            obs = ObservationPath(dt=0.01, increments=0.1 * rng.standard_normal((n, 2)))
+            assert_scan_matches_loop(m, obs)
+
+    @settings(max_examples=20, deadline=None)
+    @given(kernel_cases(), st.integers(1, 4), st.sampled_from([1, 3, 64, 200]))
+    def test_batch_matches_loop_oracle(self, case, n_paths, keep):
+        m, obs = case
+        rng = np.random.default_rng(obs.n_steps)
+        incs = np.sqrt(obs.dt) * rng.standard_normal((n_paths, obs.n_steps, 1))
+        batch = wonham_filter_batch(m, m.prior, incs, obs.dt, keep_every=keep)
+        assert np.abs(batch - wonham_batch_loop(m, m.prior, incs, obs.dt, keep)).max() <= 1e-13
+
+    def test_failure_names_the_loop_step_without_warnings(self):
+        # likelihoods [1, 0] at every step but step 37, where both underflow
+        m = make_hmm([[-1.0, 1.0], [1.0, -1.0]], [800.0, -800.0])
+        inc = np.full((100, 1), 400.0)
+        inc[37] = 1.0
+        obs = ObservationPath(dt=1.0, increments=inc)
+        with pytest.raises(NumericalFailure) as loop:
+            wonham_loop(m, m.prior, obs)
+        assert loop.value.step == 37
+        incs = np.repeat(obs.increments[None], 3, axis=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="underflow") as scan:
+                wonham_filter(m, m.prior, obs)
+            assert scan.value.step == 37
+            with pytest.raises(NumericalFailure) as batch:
+                wonham_filter_batch(m, m.prior, incs, obs.dt)
+            assert batch.value.step == 37
+            # peak-subtracted likelihoods keep the unnormalized passes alive
+            unn = zakai_filter(m, m.prior, obs)
+            sm = forward_backward_smoother(m, obs)
+        ref = zakai_loop(m, m.prior, obs)
+        assert np.abs(unn.masses - ref.masses).max() <= 1e-13
+        assert np.abs(unn.log_normalizer - ref.log_normalizer).max() <= 1e-12 * obs.n_steps
+        assert np.abs(sm.smoothed - forward_backward_loop(m, obs).smoothed).max() <= 1e-13
+
+    def test_denormal_chunk_start_runs_step_by_step(self):
+        # frozen chain, state 3 unreachable: over a 2-step chunk the products
+        # of states 1 and 2 fall to ~1e-318 of state 3's, where doubles keep
+        # only a few digits; the scan must not trust that chunk start
+        m = make_hmm(np.zeros((3, 3)), [[0.0], [1.0 / 120.0], [17.0]], prior=[0.5, 0.5, 0.0])
+        obs = ObservationPath(dt=1.0, increments=np.full((4, 1), 30.0))
+        bel = wonham_filter(m, m.prior, obs).beliefs
+        assert np.abs(bel - wonham_loop(m, m.prior, obs).beliefs).max() <= 1e-13
+        unn = zakai_filter(m, m.prior, obs).masses
+        assert np.abs(unn - zakai_loop(m, m.prior, obs).masses).max() <= 1e-13
+
+    def test_short_underflow_record_warns_nothing(self):
+        m = make_hmm([[-1.0, 1.0], [1.0, -1.0]], [800.0, -800.0])
+        obs = ObservationPath(dt=1.0, increments=np.ones((3, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure) as scan:
+                wonham_filter(m, m.prior, obs)
+        with pytest.raises(NumericalFailure) as loop:
+            wonham_loop(m, m.prior, obs)
+        assert scan.value.step == loop.value.step == 0
 
 
 class TestZakai:
