@@ -12,7 +12,7 @@ import numpy as np
 from dualfilter.duality import dual_lq_linear_gaussian
 from dualfilter.filters import riccati_half_grid, solve_are
 from dualfilter.models import LinearGaussianModel
-from dualfilter.sim import simulate_linear_gaussian
+from dualfilter.sim import n_steps_for, simulate_linear_gaussian
 from dualfilter.smoothing import fraser_potter_smoother, rts_smoother
 
 
@@ -33,7 +33,7 @@ def main() -> None:
     f = rng.standard_normal(d)
     horizon, dt = 1.0, 1e-3
     cost, u, y = dual_lq_linear_gaussian(model, f, horizon, dt)
-    sig = riccati_half_grid(model, model.cov0, int(horizon / dt), dt)
+    sig = riccati_half_grid(model, model.cov0, n_steps_for(horizon, dt), dt)
     value = f @ sig[-1] @ f
     print(f"dual LQ optimal cost:   {cost:.10f}")
     print(f"Riccati value f'Sf:     {value:.10f}")

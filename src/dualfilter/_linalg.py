@@ -70,3 +70,29 @@ def drift_step(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     e_big[:d, d:] = np.eye(d)
     e = expm(e_big * dt)
     return e[:d, :d], e[:d, d:]
+
+
+def rk4(rhs, y0, n: int, h: float) -> np.ndarray:
+    """``n`` classical Runge-Kutta steps of size ``h`` from ``y0`` (a negative
+    ``h`` runs backward); returns all ``n + 1`` states.
+
+    Step ``k`` calls ``rhs(y, k, s)`` with ``s = 0, 1, 1, 2`` at its start,
+    its midpoint (twice) and its end: a coefficient held constant over the
+    step reads ``c[k]``, one sampled on the half grid of the steps reads
+    ``c[2 k + s]``.
+    """
+    ys = np.empty((n + 1,) + np.shape(y0))
+    ys[0] = y = np.asarray(y0, dtype=float)
+    for k in range(n):
+        k1 = rhs(y, k, 0)
+        k2 = rhs(y + 0.5 * h * k1, k, 1)
+        k3 = rhs(y + 0.5 * h * k2, k, 1)
+        k4 = rhs(y + h * k3, k, 2)
+        ys[k + 1] = y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return ys
+
+
+def simpson(start: np.ndarray, mid: np.ndarray, end: np.ndarray, h: float) -> float:
+    """Composite Simpson rule from per-step values of the integrand at each
+    step's start, midpoint and end; ``h`` is the step length."""
+    return float(h / 6.0 * np.sum(start + 4.0 * mid + end))

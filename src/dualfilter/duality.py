@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._linalg import cached_expm, drift_step, numerical_rank, orth_basis
-from .filters import riccati_half_grid, zakai_operator_batch
-from .models import HmmModel, LinearGaussianModel, as_simplex, q_matrices
+from ._linalg import cached_expm, drift_step, numerical_rank, orth_basis, rk4, simpson
+from .filters import (chain_riccati, prior_flow, riccati_half_grid, riccati_rhs,
+                      zakai_operator_batch)
+from .models import HmmModel, LinearGaussianModel, as_simplex
 from .sim import batch_hmm_observations, n_steps_for
 
 Array = NDArray[np.float64]
@@ -277,20 +278,12 @@ def dual_cost_deterministic(model: HmmModel, f, u: Array, dt: float, prior=None)
     n = u.shape[0]
     a = model.rate.entries
     y_half = backward_dual_half_grid(model, f, u, dt)
-    half_trans = cached_expm(a.T, dt / 2.0)
-    mu = prior.entries.copy()
+    mu = prior_flow(a, prior.entries, 2 * n, dt / 2.0)
     y0 = y_half[0]
-    cost = float(mu @ (y0**2) - (mu @ y0) ** 2)
-    diff2 = lambda y: np.einsum("ij,ij->i", a, (y[:, None] - y[None, :]) ** 2)
-    vals = np.empty(2 * n + 1)
-    for j in range(2 * n + 1):
-        vals[j] = mu @ diff2(y_half[j])
-        if j < 2 * n:
-            mu = half_trans @ mu
-    for k in range(n):
-        energy = dt / 6.0 * (vals[2 * k] + 4.0 * vals[2 * k + 1] + vals[2 * k + 2])
-        cost += energy + float(u[k] @ u[k]) * dt
-    return cost
+    cost = float(mu[0] @ (y0**2) - (mu[0] @ y0) ** 2)
+    gamma = np.einsum("ij,kij->ki", a, (y_half[:, :, None] - y_half[:, None, :]) ** 2)
+    vals = np.einsum("ki,ki->k", mu, gamma)
+    return cost + simpson(vals[:-1:2], vals[1::2], vals[2::2], dt) + float(np.sum(u * u)) * dt
 
 
 def duality_check_mc(
@@ -332,6 +325,35 @@ def duality_check_mc(
     return j_value, mse, stderr
 
 
+def _closed_loop_backward(a: Array, h: Array, weight: Array, sig_half: Array, f,
+                          dt: float) -> tuple[float, Array, Array]:
+    """Backward half of a dual LQ problem, shared by the linear-Gaussian and
+    the chain versions.
+
+    ``sig_half`` is the forward Riccati flow on the half grid (2 n + 1
+    points) and ``weight`` its running weight on the quarter grid.  The
+    closed loop ``-dy/dt = (A - H H^T Sigma) y`` runs backward from
+    ``y(T) = f`` jointly with ``Sigma``, so every RK4 stage sees a
+    consistent covariance while ``Sigma`` re-traces its forward flow.
+    Returns ``(cost, u, y)`` on the half grid, with ``u = -H^T Sigma y`` and
+    ``cost = y_0^T Sigma_0 y_0 + int |u|^2 + y^T Q y dt`` by Simpson's rule.
+    """
+    n2 = sig_half.shape[0] - 1
+    back_weight = weight[::-1]
+
+    def joint_rhs(v: Array, k: int, s: int) -> Array:
+        sig, y = v[:-1], v[-1]
+        return np.concatenate((riccati_rhs(a, h, back_weight[2 * k + s], sig),
+                               [h @ (h.T @ (sig @ y)) - a @ y]))
+
+    back = rk4(joint_rhs, np.vstack((sig_half[-1], f)), n2, -dt / 2.0)[::-1]
+    sig, y = back[:, :-1], back[:, -1]
+    u = -np.einsum("km,jkl,jl->jm", h, sig, y)
+    integrand = np.einsum("jm,jm->j", u, u) + np.einsum("jk,jkl,jl->j", y, weight[::2], y)
+    cost = float(y[0] @ sig_half[0] @ y[0])
+    return cost + simpson(integrand[:-1:2], integrand[1::2], integrand[2::2], dt), u, y
+
+
 def dual_lq_linear_gaussian(model: LinearGaussianModel, f, horizon: float, dt: float = 1e-3):
     """Minimum-variance dual LQ problem for the linear-Gaussian model.
 
@@ -345,101 +367,27 @@ def dual_lq_linear_gaussian(model: LinearGaussianModel, f, horizon: float, dt: f
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     n = n_steps_for(horizon, dt)
-    f = np.asarray(f, dtype=float)
-    sig_fwd = riccati_half_grid(model, model.cov0, n, dt)
-    a, h, q = model.a_mat, model.h_mat, model.noise_cov
-
-    # integrate (Sigma, y) jointly backward so every RK4 stage sees a
-    # consistent covariance; Sigma re-traces its forward flow in reverse
-    def joint_rhs(sig: Array, y: Array) -> tuple[Array, Array]:
-        ds = a.T @ sig + sig @ a + q - sig @ h @ h.T @ sig
-        dy = -(a @ y - h @ (h.T @ (sig @ y)))
-        return ds, dy
-
-    y_half = np.empty((2 * n + 1, model.dim))
-    sig_half = np.empty_like(sig_fwd)
-    y_half[2 * n] = f
-    sig_half[2 * n] = sig_fwd[2 * n]
-    hh = -dt / 2.0
-    for j in range(2 * n, 0, -1):
-        s, y = sig_half[j], y_half[j]
-        ds1, dy1 = joint_rhs(s, y)
-        ds2, dy2 = joint_rhs(s + 0.5 * hh * ds1, y + 0.5 * hh * dy1)
-        ds3, dy3 = joint_rhs(s + 0.5 * hh * ds2, y + 0.5 * hh * dy2)
-        ds4, dy4 = joint_rhs(s + hh * ds3, y + hh * dy3)
-        sig_half[j - 1] = s + hh / 6.0 * (ds1 + 2 * ds2 + 2 * ds3 + ds4)
-        y_half[j - 1] = y + hh / 6.0 * (dy1 + 2 * dy2 + 2 * dy3 + dy4)
-
-    u_half = -np.einsum("km,jkl,jl->jm", h, sig_half, y_half)
-    integrand = np.einsum("jm,jm->j", u_half, u_half) + np.einsum("jk,kl,jl->j", y_half, q, y_half)
-    cost = float(y_half[0] @ model.cov0 @ y_half[0])
-    for k in range(n):
-        cost += dt / 6.0 * (integrand[2 * k] + 4.0 * integrand[2 * k + 1] + integrand[2 * k + 2])
-    return cost, u_half[::2], y_half[::2]
+    q = model.noise_cov
+    weight = np.broadcast_to(q, (4 * n + 1,) + q.shape)
+    cost, u, y = _closed_loop_backward(model.a_mat, model.h_mat, weight,
+                                       riccati_half_grid(model, model.cov0, n, dt),
+                                       np.asarray(f, dtype=float), dt)
+    return cost, u[::2], y[::2]
 
 
 def dual_deterministic_markov(model: HmmModel, f, horizon: float, dt: float = 1e-3):
     """Deterministic-control dual LQ problem for a finite chain.
 
     The running weight is the prior-flow average of the carre du champ
-    matrices.  Returns ``(cost, u path, y path, sigma_bar path)`` with
-    ``u_t = -H^T sigma_bar_t y_t``; the cost matches the Riccati bookkeeping
-    value ``f^T sigma_bar_T f``.
+    matrices (:func:`~dualfilter.filters.chain_riccati`).  Returns ``(cost,
+    u path, y path, sigma_bar path)`` with ``u_t = -H^T sigma_bar_t y_t``;
+    the cost matches the Riccati bookkeeping value ``f^T sigma_bar_T f``.
     """
     n = n_steps_for(horizon, dt)
-    d = model.dim
-    a, h = model.rate.entries, model.obs.entries
-    q = q_matrices(model.rate).q_of
-    mu0 = model.prior.entries
-    # prior flow and carre du champ weight, exact on the quarter grid so every
-    # RK4 stage below sees an exact coefficient
-    quarter_trans = cached_expm(a.T, dt / 4.0)
-    mu_q = np.empty((4 * n + 1, d))
-    mu_q[0] = mu0
-    for j in range(4 * n):
-        mu_q[j + 1] = quarter_trans @ mu_q[j]
-    eq_q = np.einsum("ji,ikl->jkl", mu_q, q)
-
-    def s_rhs(s: Array, jq: int) -> Array:
-        return s @ a + a.T @ s + eq_q[jq] - s @ h @ h.T @ s
-
-    sig_half = np.empty((2 * n + 1, d, d))
-    sig_half[0] = np.diag(mu0) - np.outer(mu0, mu0)
-    hh = dt / 2.0
-    for j in range(2 * n):
-        s = sig_half[j]
-        k1 = s_rhs(s, 2 * j)
-        k2 = s_rhs(s + 0.5 * hh * k1, 2 * j + 1)
-        k3 = s_rhs(s + 0.5 * hh * k2, 2 * j + 1)
-        k4 = s_rhs(s + hh * k3, 2 * j + 2)
-        nxt = s + hh / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        sig_half[j + 1] = 0.5 * (nxt + nxt.T)
-
-    # joint backward pass keeps (Sigma, y) consistent at all stages
-    def joint_rhs(s: Array, y: Array, jq: int) -> tuple[Array, Array]:
-        return s_rhs(s, jq), -(a @ y - h @ (h.T @ (s @ y)))
-
-    y_half = np.empty((2 * n + 1, d))
-    y_half[2 * n] = np.asarray(f, dtype=float)
-    sig_b = sig_half[2 * n]
-    hb = -dt / 2.0
-    for j in range(2 * n, 0, -1):
-        s, y = sig_b, y_half[j]
-        ds1, dy1 = joint_rhs(s, y, 2 * j)
-        ds2, dy2 = joint_rhs(s + 0.5 * hb * ds1, y + 0.5 * hb * dy1, 2 * j - 1)
-        ds3, dy3 = joint_rhs(s + 0.5 * hb * ds2, y + 0.5 * hb * dy2, 2 * j - 1)
-        ds4, dy4 = joint_rhs(s + hb * ds3, y + hb * dy3, 2 * j - 2)
-        sig_b = s + hb / 6.0 * (ds1 + 2 * ds2 + 2 * ds3 + ds4)
-        y_half[j - 1] = y + hb / 6.0 * (dy1 + 2 * dy2 + 2 * dy3 + dy4)
-
-    eq_half = eq_q[::2]
-    u_half = -np.einsum("dm,jdl,jl->jm", h, sig_half, y_half)
-    energy = np.einsum("jk,jkl,jl->j", y_half, eq_half, y_half)
-    integrand = np.einsum("jm,jm->j", u_half, u_half) + energy
-    cost = float(y_half[0] @ sig_half[0] @ y_half[0])
-    for k in range(n):
-        cost += dt / 6.0 * (integrand[2 * k] + 4.0 * integrand[2 * k + 1] + integrand[2 * k + 2])
-    return cost, u_half[::2], y_half[::2], sig_half[::2]
+    sig_half, weight = chain_riccati(model, 2 * n, dt / 2.0)
+    cost, u, y = _closed_loop_backward(model.rate.entries, model.obs.entries, weight, sig_half,
+                                       np.asarray(f, dtype=float), dt)
+    return cost, u[::2], y[::2], sig_half[::2]
 
 
 # -- binary-tree oracle for the stochastic dual system ------------------------

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg import LinAlgError, solve_continuous_are
 
 from ._csv import csv_text, grid_rows
-from ._linalg import cached_expm, symmetrize
+from ._linalg import cached_expm, rk4, symmetrize
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, as_simplex, q_matrices
 
 Array = NDArray[np.float64]
@@ -316,25 +317,34 @@ def innovation_path(model: HmmModel, beliefs: BeliefPath, obs) -> Array:
     return obs.increments - predicted * obs.dt
 
 
-# -- linear-Gaussian ----------------------------------------------------------
+# -- linear-Gaussian and chain Kalman filters ---------------------------------
 
-def riccati_rhs(model: LinearGaussianModel, sigma: Array) -> Array:
-    a, h = model.a_mat, model.h_mat
-    return a.T @ sigma + sigma @ a + model.noise_cov - sigma @ h @ h.T @ sigma
+ARE_RESIDUAL_TOL = 1e-8
+
+
+def riccati_rhs(a: Array, h: Array, q: Array, sigma: Array) -> Array:
+    """Riccati right-hand side ``A^T Sigma + Sigma A + Q - Sigma H H^T Sigma``
+    for a symmetric ``Sigma``.
+
+    ``A`` is a linear model's ``a_mat`` with ``Q = sigma sigma^T``, or a
+    chain's rate matrix with the running weight ``Q = E[Q(X_t)]``.  Formed
+    as ``G + G^T`` with ``G = A^T Sigma + (Q - Sigma H (Sigma H)^T) / 2``, so
+    the output is exactly symmetric and so is every RK4 stage built from it.
+    """
+    sh = sigma @ h
+    g = a.T @ sigma + 0.5 * (q - sh @ sh.T)
+    return g + g.T
+
+
+def _check_psd(covs: Array) -> None:
+    lam_min = np.linalg.eigvalsh(covs).min()
+    if lam_min < -1e-6:
+        raise NumericalFailure(f"covariance lost positive semidefiniteness ({lam_min:g})")
 
 
 def _rk4_riccati(model: LinearGaussianModel, sigma0: Array, n_steps: int, dt: float) -> Array:
-    out = np.empty((n_steps + 1,) + sigma0.shape)
-    out[0] = symmetrize(sigma0)
-    s = out[0]
-    for k in range(n_steps):
-        k1 = riccati_rhs(model, s)
-        k2 = riccati_rhs(model, s + 0.5 * dt * k1)
-        k3 = riccati_rhs(model, s + 0.5 * dt * k2)
-        k4 = riccati_rhs(model, s + dt * k3)
-        s = symmetrize(s + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
-        out[k + 1] = s
-    return out
+    a, h, q = model.a_mat, model.h_mat, model.noise_cov
+    return rk4(lambda s, k, i: riccati_rhs(a, h, q, s), symmetrize(sigma0), n_steps, dt)
 
 
 def riccati_half_grid(model: LinearGaussianModel, sigma0: Array, n_steps: int, dt: float) -> Array:
@@ -348,9 +358,7 @@ def kalman_bucy(model: LinearGaussianModel, obs) -> GaussianBeliefPath:
         raise ValueError("observation channel count does not match the model")
     n, dt = obs.n_steps, obs.dt
     covs = _rk4_riccati(model, model.cov0, n, dt)
-    lam_min = np.linalg.eigvalsh(covs).min()
-    if lam_min < -1e-6:
-        raise NumericalFailure(f"covariance lost positive semidefiniteness ({lam_min:g})")
+    _check_psd(covs)
     means = np.empty((n + 1, model.dim))
     means[0] = model.mean0
     a, h = model.a_mat, model.h_mat
@@ -360,118 +368,87 @@ def kalman_bucy(model: LinearGaussianModel, obs) -> GaussianBeliefPath:
     return GaussianBeliefPath(dt=dt, means=means, covs=covs)
 
 
-def solve_are(
-    model: LinearGaussianModel,
-    dt: float = 2e-3,
-    max_horizon: float = 100.0,
-    stationarity_tol: float = 1e-10,
-    residual_tol: float = 1e-8,
-) -> tuple[Array, bool]:
-    """Stationary Riccati solution by integrating the flow from identity.
+def solve_are(model: LinearGaussianModel) -> tuple[Array, bool]:
+    """Stationary Riccati solution, from scipy's continuous-time algebraic
+    Riccati (CARE) solver.
 
-    Returns ``(sigma_inf, hurwitz)`` where the flag reports whether the
-    closed-loop matrix ``A^T - sigma_inf H H^T`` has all eigenvalues in the
-    open left half-plane.  Raises :class:`~dualfilter.models.NumericalFailure`
-    when the flow has not become stationary by ``max_horizon``, which is the
-    diagnostic for a model that is not stabilizable/detectable.
+    Solves ``A^T S + S A + sigma sigma^T - S H H^T S = 0`` and returns
+    ``(sigma_inf, hurwitz)``, where the flag reports whether the closed-loop
+    matrix ``A^T - sigma_inf H H^T`` has all eigenvalues in the open left
+    half-plane.  Raises :class:`~dualfilter.models.NumericalFailure` when the
+    solver finds no finite stabilizing solution, which is the diagnostic for
+    a model that is not stabilizable/detectable, or when the solution's
+    residual exceeds ``ARE_RESIDUAL_TOL``.
     """
-    s = np.eye(model.dim)
-    steps = int(round(max_horizon / dt))
-    for k in range(steps):
-        k1 = riccati_rhs(model, s)
-        if np.abs(k1).max() < stationarity_tol:
-            break
-        k2 = riccati_rhs(model, s + 0.5 * dt * k1)
-        k3 = riccati_rhs(model, s + 0.5 * dt * k2)
-        k4 = riccati_rhs(model, s + dt * k3)
-        s = symmetrize(s + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
-        if not np.all(np.isfinite(s)):
-            raise NumericalFailure("Riccati flow diverged; model not stabilizable/detectable", step=k)
-    else:
-        raise NumericalFailure("Riccati flow did not reach stationarity; model not stabilizable/detectable")
-    residual = riccati_rhs(model, s)
-    if np.abs(residual).max() > residual_tol:
-        raise NumericalFailure(f"stationary residual {np.abs(residual).max():g} exceeds {residual_tol:g}")
-    closed_loop = model.a_mat.T - s @ model.h_mat @ model.h_mat.T
-    hurwitz = bool(np.all(np.linalg.eigvals(closed_loop).real < 0))
+    a, h, q = model.a_mat, model.h_mat, model.noise_cov
+    try:
+        s = solve_continuous_are(a, h, q, np.eye(model.n_channels))
+    except LinAlgError as exc:
+        raise NumericalFailure(f"no stationary Riccati solution ({exc}); "
+                               "model not stabilizable/detectable") from exc
+    if not np.all(np.isfinite(s)):
+        raise NumericalFailure("non-finite stationary Riccati solution; model not stabilizable/detectable")
+    residual = np.abs(riccati_rhs(a, h, q, s)).max()
+    if residual > ARE_RESIDUAL_TOL:
+        raise NumericalFailure(f"stationary residual {residual:g} exceeds {ARE_RESIDUAL_TOL:g}")
+    hurwitz = bool(np.all(np.linalg.eigvals(a.T - s @ h @ h.T).real < 0))
     return s, hurwitz
+
+
+def prior_flow(rate: Array, mu0: Array, n_steps: int, dt: float) -> Array:
+    """Prior marginals ``mu_t = expm(A^T t) mu0`` at ``n_steps + 1`` grid
+    points ``dt`` apart: the forward kernel with unit likelihoods."""
+    mu, _ = _scan(cached_expm(rate.T, dt).T, np.zeros((n_steps, rate.shape[0])), mu0, shift=False)
+    return mu
+
+
+def chain_riccati(model: HmmModel, n_steps: int, dt: float) -> tuple[Array, Array]:
+    """Covariance flow of the chain Kalman filter, ``n_steps`` RK4 steps of ``dt``.
+
+    The running weight is the prior-flow average ``E[Q(X_t)] = sum_i mu_t(i)
+    Q(i)`` of the carre du champ matrices, exact on the half grid so every
+    RK4 stage sees an exact coefficient.  Returns the covariances
+    (n + 1, d, d) and the weights on the half grid (2 n + 1, d, d).
+    """
+    a, h, mu0 = model.rate.entries, model.obs.entries, model.prior.entries
+    mu = prior_flow(a, mu0, 2 * n_steps, dt / 2.0)
+    weight = np.einsum("ji,ikl->jkl", mu, q_matrices(model.rate).q_of)
+    covs = rk4(lambda s, k, i: riccati_rhs(a, h, weight[2 * k + i], s),
+               np.diag(mu0) - np.outer(mu0, mu0), n_steps, dt)
+    return covs, weight
+
+
+def _chain_kalman(model: HmmModel, increments: Array, dt: float) -> tuple[Array, Array]:
+    n_paths, n, _ = increments.shape
+    covs, _ = chain_riccati(model, n, dt)
+    _check_psd(covs)
+    h = model.obs.entries
+    gains = covs @ h
+    trans_t = cached_expm(model.rate.entries.T, dt).T
+    est = np.empty((n_paths, n + 1, model.dim))
+    est[:, 0] = x = model.prior.entries
+    for k in range(n):
+        x = (x @ trans_t) + (increments[:, k] - (x @ h) * dt) @ gains[k].T
+        est[:, k + 1] = x
+    return est, covs
 
 
 def kf_markov_chain(model: HmmModel, obs) -> tuple[Array, Array]:
     """Sub-optimal Kalman-style filter for a finite chain.
 
-    States are embedded as canonical basis vectors; the covariance solves a
-    Riccati equation whose running weight is the prior-flow average
-    ``E[Q(X_t)] = sum_i mu_t(i) Q(i)`` of the carre du champ matrices, and
-    the estimate follows the mean update driven by ``dZ``.
+    States are embedded as canonical basis vectors; the covariance solves
+    the Riccati equation of :func:`chain_riccati`, and the estimate follows
+    the mean update driven by ``dZ``.
 
     Returns ``(estimates, covariances)`` of shapes (n + 1, d) and
     (n + 1, d, d).
     """
     _check_hmm_inputs(model, obs)
-    n, dt = obs.n_steps, obs.dt
-    d = model.dim
-    a, h = model.rate.entries, model.obs.entries
-    q = q_matrices(model.rate).q_of
-    mu0 = model.prior.entries
-    half_trans = cached_expm(a.T, dt / 2.0)
-
-    mu_half = np.empty((2 * n + 1, d))
-    mu_half[0] = mu0
-    for j in range(2 * n):
-        mu_half[j + 1] = half_trans @ mu_half[j]
-
-    def eq(j: int) -> Array:
-        return np.einsum("i,ijk->jk", mu_half[j], q)
-
-    def rhs(s: Array, j: int) -> Array:
-        return s @ a + a.T @ s + eq(j) - s @ h @ h.T @ s
-
-    covs = np.empty((n + 1, d, d))
-    covs[0] = symmetrize(np.diag(mu0) - np.outer(mu0, mu0))
-    s = covs[0]
-    for k in range(n):
-        k1 = rhs(s, 2 * k)
-        k2 = rhs(s + 0.5 * dt * k1, 2 * k + 1)
-        k3 = rhs(s + 0.5 * dt * k2, 2 * k + 1)
-        k4 = rhs(s + dt * k3, 2 * k + 2)
-        s = symmetrize(s + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
-        covs[k + 1] = s
-    lam_min = np.linalg.eigvalsh(covs).min()
-    if lam_min < -1e-6:
-        raise NumericalFailure(f"covariance lost positive semidefiniteness ({lam_min:g})")
-
-    est = np.empty((n + 1, d))
-    est[0] = mu0
-    trans = cached_expm(a.T, dt)
-    for k in range(n):
-        x = est[k]
-        est[k + 1] = trans @ x + covs[k] @ h @ (obs.increments[k] - h.T @ x * dt)
-    return est, covs
+    est, covs = _chain_kalman(model, obs.increments[None], obs.dt)
+    return est[0], covs
 
 
 def kf_markov_chain_batch(model: HmmModel, increments: Array, dt: float) -> Array:
     """Estimate paths of :func:`kf_markov_chain` over a batch of observation
     paths (shared covariance flow).  Returns shape (n_paths, n + 1, d)."""
-    n_paths, n, _ = increments.shape
-    _, covs = kf_markov_chain(model, ObservationStub(dt, n, model.n_channels))
-    a, h = model.rate.entries, model.obs.entries
-    trans_t = cached_expm(a.T, dt).T
-    est = np.empty((n_paths, n + 1, model.dim))
-    est[:, 0] = model.prior.entries
-    x = est[:, 0].copy()
-    for k in range(n):
-        gain = covs[k] @ h
-        x = (x @ trans_t) + (increments[:, k] - (x @ h) * dt) @ gain.T
-        est[:, k + 1] = x
-    return est
-
-
-class ObservationStub:
-    """Zero-increment observation path; used to reuse covariance flows."""
-
-    def __init__(self, dt: float, n_steps: int, m: int):
-        self.dt = dt
-        self.increments = np.zeros((n_steps, m))
-        self.n_steps = n_steps
-        self.n_channels = m
+    return _chain_kalman(model, increments, dt)[0]

@@ -252,41 +252,6 @@ def carre_du_champ(model: HmmModel, f) -> Array:
     return np.einsum("ij,ij->i", a, diff**2)
 
 
-def validate(model: HmmModel | LinearGaussianModel) -> list[str]:
-    """Report-only check of every model invariant.
-
-    Returns one message per violation, naming the offending index; an empty
-    list means the model is valid.  Construction already enforces these
-    invariants, so this is mainly useful for models assembled from raw
-    arrays (see :func:`model_from_dict`).
-    """
-    report: list[str] = []
-    if isinstance(model, HmmModel):
-        a = model.rate.entries
-        rs = a.sum(axis=1)
-        for i in np.nonzero(np.abs(rs) > ROW_SUM_TOL)[0]:
-            report.append(f"rate row {i} sums to {rs[i]:g}, not 0")
-        off = a - np.diag(np.diag(a))
-        for i, j in zip(*np.nonzero(off < -ROW_SUM_TOL)):
-            report.append(f"rate({i},{j}) = {a[i, j]:g} is negative")
-        p = model.prior.entries
-        for i in np.nonzero(p < -SIMPLEX_TOL)[0]:
-            report.append(f"prior entry {i} = {p[i]:g} is negative")
-        if abs(p.sum() - 1.0) > SIMPLEX_TOL:
-            report.append(f"prior sums to {p.sum():.17g}, not 1")
-        if not np.all(np.isfinite(model.obs.entries)):
-            report.append("observation matrix has non-finite entries")
-    else:
-        c0 = model.cov0
-        asym = np.abs(c0 - c0.T).max()
-        if asym > 1e-12:
-            report.append(f"cov0 asymmetry {asym:g} exceeds 1e-12")
-        lam = np.linalg.eigvalsh((c0 + c0.T) / 2).min()
-        if lam < -1e-10:
-            report.append(f"cov0 minimum eigenvalue {lam:g} is below -1e-10")
-    return report
-
-
 def ergodic_classes(rate: RateMatrix) -> tuple[list[frozenset[int]], frozenset[int]]:
     """Closed communicating classes of the chain and the transient states.
 

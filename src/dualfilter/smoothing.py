@@ -11,6 +11,13 @@ model: the Rauch-Tung-Striebel backward sweep, the Fraser-Potter two-filter
 combination (forward Kalman filter plus a backward information filter), and
 the minimum-energy trajectory obtained from deterministic forward/backward
 ODEs driven by the increment ratio ``dZ/dt``.
+
+Three Kalman discretizations remain, because each serves a different check:
+:func:`~dualfilter.filters.kalman_bucy` is the Euler mean update in ``dZ``;
+:func:`_discrete_kalman` is the exact filter of the discretized model that
+RTS and Fraser-Potter need to agree to roundoff; :func:`_forward_reference`
+is the fourth-order joint solve that the minimum-energy backward pass must
+match.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from numpy.typing import NDArray
 from scipy.special import logsumexp
 
 from ._csv import csv_text, grid_rows
-from ._linalg import cached_expm, symmetrize, van_loan_discretization
-from .filters import _log_likelihoods, _scan
+from ._linalg import cached_expm, rk4, simpson, symmetrize, van_loan_discretization
+from .filters import _log_likelihoods, _scan, riccati_rhs
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, as_simplex
 
 Array = NDArray[np.float64]
@@ -227,9 +234,11 @@ def _zdot(obs) -> Array:
     return obs.increments / obs.dt
 
 
-def _riccati_rhs(model: LinearGaussianModel, s: Array) -> Array:
-    a, h = model.a_mat, model.h_mat
-    return a.T @ s + s @ a + model.noise_cov - s @ h @ h.T @ s
+def _reference_rhs(a: Array, h: Array, q: Array, v: Array, z: Array) -> Array:
+    """Time derivative of the stacked rows ``[Sigma; xhat]``: the Riccati flow
+    and the filter mean ``A^T xhat + Sigma H (zdot - H^T xhat)``."""
+    sig, xr = v[:-1], v[-1]
+    return np.concatenate((riccati_rhs(a, h, q, sig), [a.T @ xr + sig @ (h @ (z - h.T @ xr))]))
 
 
 def _forward_reference(model: LinearGaussianModel, obs) -> tuple[Array, Array]:
@@ -240,28 +249,11 @@ def _forward_reference(model: LinearGaussianModel, obs) -> tuple[Array, Array]:
     inside the same RK4 stages, so no coefficient interpolation is needed
     and the half-grid nodes are genuine fourth-order nodes.
     """
-    n, dt = obs.n_steps, obs.dt
-    a, h = model.a_mat, model.h_mat
+    a, h, q = model.a_mat, model.h_mat, model.noise_cov
     zd = _zdot(obs)
-    x = np.empty((2 * n + 1, model.dim))
-    sig = np.empty((2 * n + 1, model.dim, model.dim))
-    x[0] = model.mean0
-    sig[0] = symmetrize(model.cov0)
-    hh = dt / 2.0
-
-    def rhs(s, xv, z):
-        return _riccati_rhs(model, s), a.T @ xv + s @ (h @ (z - h.T @ xv))
-
-    for j in range(2 * n):
-        z = zd[j // 2]
-        s, xv = sig[j], x[j]
-        ds1, dx1 = rhs(s, xv, z)
-        ds2, dx2 = rhs(s + 0.5 * hh * ds1, xv + 0.5 * hh * dx1, z)
-        ds3, dx3 = rhs(s + 0.5 * hh * ds2, xv + 0.5 * hh * dx2, z)
-        ds4, dx4 = rhs(s + hh * ds3, xv + hh * dx3, z)
-        sig[j + 1] = symmetrize(s + hh / 6.0 * (ds1 + 2 * ds2 + 2 * ds3 + ds4))
-        x[j + 1] = xv + hh / 6.0 * (dx1 + 2 * dx2 + 2 * dx3 + dx4)
-    return sig, x
+    v = rk4(lambda v, k, s: _reference_rhs(a, h, q, v, zd[k // 2]),
+            np.vstack((symmetrize(model.cov0), model.mean0)), 2 * obs.n_steps, obs.dt / 2.0)
+    return v[:, :-1], v[:, -1]
 
 
 def minimum_energy_trajectory(model: LinearGaussianModel, obs) -> EnergyTrajectory:
@@ -281,32 +273,15 @@ def minimum_energy_trajectory(model: LinearGaussianModel, obs) -> EnergyTrajecto
     lam_min = np.linalg.eigvalsh(sig_half).min()
     if lam_min < 1e-10:
         raise NumericalFailure("covariance numerically singular along the path")
-    zd = _zdot(obs)
-    x = np.empty_like(xh)
-    x[-1] = xh[-1]
-    s_b = sig_half[2 * n].copy()
-    xh_b = xh[2 * n].copy()
-    hh = -dt / 2.0
+    zd_back = _zdot(obs)[::-1]
 
-    def rhs(s, xr, xv, z):
-        ds = _riccati_rhs(model, s)
-        dxr = a.T @ xr + s @ (h @ (z - h.T @ xr))
-        dxv = a.T @ xv + q @ np.linalg.solve(s, xv - xr)
-        return ds, dxr, dxv
+    def rhs(v: Array, k: int, s: int) -> Array:
+        sig, xr, xv = v[:-2], v[-2], v[-1]
+        return np.concatenate((_reference_rhs(a, h, q, v[:-1], zd_back[k // 2]),
+                               [a.T @ xv + q @ np.linalg.solve(sig, xv - xr)]))
 
-    for j in range(2 * n, 0, -1):
-        z = zd[(j - 1) // 2]
-        ds1, dr1, dx1 = rhs(s_b, xh_b, x[j], z)
-        ds2, dr2, dx2 = rhs(s_b + 0.5 * hh * ds1, xh_b + 0.5 * hh * dr1, x[j] + 0.5 * hh * dx1, z)
-        ds3, dr3, dx3 = rhs(s_b + 0.5 * hh * ds2, xh_b + 0.5 * hh * dr2, x[j] + 0.5 * hh * dx2, z)
-        ds4, dr4, dx4 = rhs(s_b + hh * ds3, xh_b + hh * dr3, x[j] + hh * dx3, z)
-        s_b = symmetrize(s_b + hh / 6.0 * (ds1 + 2 * ds2 + 2 * ds3 + ds4))
-        xh_b = xh_b + hh / 6.0 * (dr1 + 2 * dr2 + 2 * dr3 + dr4)
-        x[j - 1] = x[j] + hh / 6.0 * (dx1 + 2 * dx2 + 2 * dx3 + dx4)
-
-    controls = np.empty((2 * n + 1, sig_m.shape[1]))
-    for j in range(2 * n + 1):
-        controls[j] = sig_m.T @ np.linalg.solve(sig_half[j], x[j] - xh[j])
+    x = rk4(rhs, np.vstack((sig_half[-1], xh[-1], xh[-1])), 2 * n, -dt / 2.0)[::-1, -1]
+    controls = np.linalg.solve(sig_half, (x - xh)[:, :, None])[:, :, 0] @ sig_m
     states = reintegrate(model, x[0], controls, dt)
     return EnergyTrajectory(dt=dt, states=states, controls=controls, filter_means=xh)
 
@@ -317,20 +292,11 @@ def reintegrate(model: LinearGaussianModel, x0: Array, controls: Array, dt: floa
     Used both to validate trajectory/control consistency and to build
     perturbed-but-feasible candidates for the cost inequality.
     """
-    n2 = controls.shape[0] - 1
     a, sig = model.a_mat, model.sigma
-    x = np.empty((n2 + 1, model.dim))
-    x[0] = np.asarray(x0, dtype=float)
-    hh = dt / 2.0
-    for j in range(n2):
-        u0, u1 = controls[j], controls[j + 1]
-        um = 0.5 * (u0 + u1)
-        k1 = a.T @ x[j] + sig @ u0
-        k2 = a.T @ (x[j] + 0.5 * hh * k1) + sig @ um
-        k3 = a.T @ (x[j] + 0.5 * hh * k2) + sig @ um
-        k4 = a.T @ (x[j] + hh * k3) + sig @ u1
-        x[j + 1] = x[j] + hh / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return x
+    drive = np.empty((2 * controls.shape[0] - 1, sig.shape[0]))
+    drive[::2] = controls @ sig.T                         # node controls
+    drive[1::2] = 0.5 * (drive[:-2:2] + drive[2::2])      # midpoint averages
+    return rk4(lambda x, k, s: a.T @ x + drive[2 * k + s], x0, controls.shape[0] - 1, dt / 2.0)
 
 
 def min_energy_cost(
@@ -358,31 +324,25 @@ def min_energy_cost(
     residual = float(np.abs(replay - x).max())
     if residual > consistency_tol:
         raise ValueError(f"trajectory is inconsistent with the dynamics (residual {residual:g})")
-    n, dt = trajectory.n_steps, trajectory.dt
-    h = model.h_mat
-    zd = _zdot(obs)
     dev = x[0] - model.mean0
     cost = float(dev @ np.linalg.solve(model.cov0, dev))
-    for k in range(n):
-        vals = []
-        for j in (2 * k, 2 * k + 1, 2 * k + 2):
-            r = zd[k] - h.T @ x[j]
-            vals.append(float(u[j] @ u[j] + r @ r))
-        cost += dt / 6.0 * (vals[0] + 4.0 * vals[1] + vals[2])
-    return cost
+    return cost + _step_simpson(np.einsum("jm,jm->j", u, u), x @ model.h_mat, obs, trajectory.dt)
 
 
 def prediction_error_integral(model: LinearGaussianModel, trajectory: EnergyTrajectory, obs) -> float:
     """``int |zdot - H^T xhat|^2 dt`` along the forward reference trajectory."""
-    n, dt = trajectory.n_steps, trajectory.dt
-    h = model.h_mat
-    zd = _zdot(obs)
     xh = trajectory.filter_means
-    total = 0.0
-    for k in range(n):
-        vals = []
-        for j in (2 * k, 2 * k + 1, 2 * k + 2):
-            r = zd[k] - h.T @ xh[j]
-            vals.append(float(r @ r))
-        total += dt / 6.0 * (vals[0] + 4.0 * vals[1] + vals[2])
-    return total
+    return _step_simpson(np.zeros(xh.shape[0]), xh @ model.h_mat, obs, trajectory.dt)
+
+
+def _step_simpson(extra: Array, pred: Array, obs, dt: float) -> float:
+    """Simpson sum of ``extra + |zdot - pred|^2`` over half-grid values; the
+    increment ratio ``zdot`` is constant over each step, so step ``k``'s
+    three nodes all use ``zdot[k]``."""
+    zd = _zdot(obs)
+
+    def vals(j: slice) -> Array:
+        r = zd - pred[j]
+        return extra[j] + np.einsum("km,km->k", r, r)
+
+    return simpson(vals(slice(0, -1, 2)), vals(slice(1, None, 2)), vals(slice(2, None, 2)), dt)

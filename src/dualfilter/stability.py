@@ -238,14 +238,13 @@ def _constant_complement(d: int) -> Array:
     return u[:, 1:]
 
 
-def _min_ratio_batch(a: Array, rhos: Array) -> tuple[Array, Array]:
+def _min_ratio_batch(q: Array, rhos: Array) -> tuple[Array, Array]:
     """Minimize energy/variance over f orthogonal to constants, for a batch
     of simplex points at once (generalized eigenproblem on the complement of
     the constants; shifting f by constants changes neither form, so the
-    restriction loses nothing)."""
-    d = a.shape[0]
+    restriction loses nothing).  ``q`` holds the carre du champ matrices."""
+    d = q.shape[0]
     b = _constant_complement(d)
-    q = q_matrices_cache(a)
     e_all = np.einsum("ni,ijk->njk", rhos, q)
     c_all = np.einsum("ni,ij->nij", rhos, np.eye(d)) - rhos[:, :, None] * rhos[:, None, :]
     eb = np.einsum("ki,nkl,lj->nij", b, e_all, b)
@@ -259,30 +258,6 @@ def _min_ratio_batch(a: Array, rhos: Array) -> tuple[Array, Array]:
     f = np.einsum("ij,njk->nik", b, w @ phi)[:, :, 0]
     f = f / np.linalg.norm(f, axis=1, keepdims=True)
     return mu[:, 0], f
-
-
-def _min_ratio_given_rho(a: Array, rho: Array) -> tuple[float, Array]:
-    vals, fs = _min_ratio_batch(a, rho[None])
-    return float(vals[0]), fs[0]
-
-
-_q_cache: dict[bytes, Array] = {}
-
-
-def q_matrices_cache(a: Array) -> Array:
-    key = a.tobytes()
-    q = _q_cache.get(key)
-    if q is None:
-        d = a.shape[0]
-        q = np.zeros((d, d, d))
-        eye = np.eye(d)
-        for i in range(d):
-            for j in range(d):
-                if i != j:
-                    v = eye[i] - eye[j]
-                    q[i] += a[i, j] * np.outer(v, v)
-        _q_cache[key] = q
-    return q
 
 
 def pi_constant(
@@ -330,7 +305,8 @@ def pi_constant(
     else:
         rng = np.random.default_rng(seed)
         rhos = rng.dirichlet(np.ones(d), size=n_samples)
-    vals, fs = _min_ratio_batch(a, rhos)
+    q = q_matrices(model.rate).q_of
+    vals, fs = _min_ratio_batch(q, rhos)
     k = int(np.argmin(vals))
     val, rho, f = float(vals[k]), rhos[k], fs[k]
     # local refinement around the incumbent
@@ -339,7 +315,7 @@ def pi_constant(
     for _ in range(3):
         cand = np.clip(rho + width * rng.standard_normal((400, d)), 1e-9, None)
         cand /= cand.sum(axis=1, keepdims=True)
-        v, g = _min_ratio_batch(a, cand)
+        v, g = _min_ratio_batch(q, cand)
         j = int(np.argmin(v))
         if v[j] < val:
             val, rho, f = float(v[j]), cand[j], g[j]

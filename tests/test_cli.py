@@ -21,9 +21,9 @@ def invoke(runner, *args):
 class TestCatalog:
     def test_every_entry_is_valid(self):
         from dualfilter.catalog import CATALOG, build
-        from dualfilter.models import validate
+        from dualfilter.models import HmmModel, LinearGaussianModel
         for name in CATALOG:
-            assert validate(build(name)) == []
+            assert isinstance(build(name), (HmmModel, LinearGaussianModel))
 
     def test_two_class_demo_is_stabilizable_with_indicator(self):
         from dualfilter.catalog import two_class_demo
@@ -120,6 +120,22 @@ class TestRun:
         assert res.exit_code == 0
         summary = json.loads((tmp_path / "ka" / "summary.json").read_text())
         assert summary["values"]["hurwitz"] is True
+
+    def test_kalman_ode_step_divides_dt(self, runner, tmp_path, monkeypatch):
+        # the Riccati / dual-LQ ODEs run at the largest step dt / m <= 1e-3,
+        # so a dt that 1e-3 does not divide still gives a grid on the horizon
+        from dualfilter import cli
+        steps = []
+        solve = cli.dual_lq_linear_gaussian
+        monkeypatch.setattr(cli, "dual_lq_linear_gaussian",
+                            lambda model, f, horizon, dt: steps.append(dt) or solve(model, f, horizon, dt))
+        for dt, step in (("0.0105", 0.0105 / 11), ("0.001", 1e-3), ("0.01", 1e-3), ("0.0005", 5e-4)):
+            out = tmp_path / dt
+            res = runner.invoke(main, ["kalman", "scalar_lg", "--horizon", dt, "--dt", dt,
+                                       "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            assert json.loads((out / "summary.json").read_text())["all_passed"]
+            assert steps.pop() == step
 
     def test_gramian_failing_check_exits_one(self, runner, tmp_path):
         # 50 paths still resolve the rank; a relative cutoff of 0.1 drops the

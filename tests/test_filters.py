@@ -398,7 +398,7 @@ class TestSolveAre:
     def test_divergence_reported(self):
         m = LinearGaussianModel([[0.0]], [[0.0]], [[1.0]], [0.0], [[1.0]])
         with pytest.raises(NumericalFailure, match="not stabilizable"):
-            solve_are(m, max_horizon=20.0)
+            solve_are(m)
 
 
 class TestKfMarkovChain:

@@ -10,7 +10,7 @@ from conftest import bounded_vectors, make_hmm, rate_matrices
 from dualfilter.catalog import counter_example
 from dualfilter.models import (HmmModel, LinearGaussianModel, ObservationMatrix, RateMatrix,
                                SimplexVector, carre_du_champ, ergodic_classes, invariant_measure,
-                               model_from_json, q_matrices, validate)
+                               model_from_json, q_matrices)
 
 
 class TestContainers:
@@ -69,36 +69,6 @@ class TestCarreDuChamp:
         assert np.all(gamma >= -1e-12)
         q = q_matrices(m.rate)
         assert np.allclose(gamma, q(f), atol=1e-10)
-
-
-class TestValidate:
-    def test_valid_catalog_model_reports_nothing(self):
-        assert validate(counter_example()) == []
-
-    def test_row_sum_violation_named(self):
-        bad = counter_example()
-        raw = bad.rate.entries.copy()
-        raw[1, 1] += 0.1
-        obj = object.__new__(RateMatrix)
-        object.__setattr__(obj, "entries", raw)
-        model = object.__new__(HmmModel)
-        object.__setattr__(model, "rate", obj)
-        object.__setattr__(model, "obs", bad.obs)
-        object.__setattr__(model, "prior", bad.prior)
-        report = validate(model)
-        assert any("row 1" in msg for msg in report)
-
-    def test_negative_prior_named(self):
-        bad = counter_example()
-        raw = np.array([1.1, -0.1, 0.0, 0.0])
-        prior = object.__new__(SimplexVector)
-        object.__setattr__(prior, "entries", raw)
-        model = object.__new__(HmmModel)
-        object.__setattr__(model, "rate", bad.rate)
-        object.__setattr__(model, "obs", bad.obs)
-        object.__setattr__(model, "prior", prior)
-        report = validate(model)
-        assert any("prior entry 1" in msg for msg in report)
 
 
 class TestErgodicClasses:
