@@ -29,8 +29,8 @@ from ._csv import csv_text, grid_rows
 from .duality import (controllable_subspace, dual_deterministic_markov,
                       dual_lq_linear_gaussian, duality_check_mc, gramian_mc, is_observable,
                       is_stabilizable)
-from .filters import (ARE_RESIDUAL_TOL, innovation_path, kalman_bucy, riccati_half_grid,
-                      riccati_rhs, solve_are, wonham_filter, zakai_filter)
+from .filters import (ARE_RESIDUAL_TOL, innovation_path, kalman_bucy, riccati_rhs, solve_are,
+                      wonham_filter, zakai_filter)
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, model_from_dict
 from .sim import (GRID_ALIGN_TOL, n_steps_for, observation_csv, simulate_hmm,
                   simulate_linear_gaussian, state_path_csv)
@@ -359,8 +359,7 @@ def _run_kalman(config: ExperimentConfig, model):
         f = rng.standard_normal(model.dim)
         # the ODEs run at the largest step dt / m that does not exceed ODE_STEP
         step = config.dt / math.ceil(config.dt / ODE_STEP * (1.0 - GRID_ALIGN_TOL))
-        cost, _, _ = dual_lq_linear_gaussian(model, f, config.horizon, step)
-        sig = riccati_half_grid(model, model.cov0, n_steps_for(config.horizon, step), step)
+        cost, _, _, sig = dual_lq_linear_gaussian(model, f, config.horizon, step)
         target = float(f @ sig[-1] @ f)
         gap = abs(cost - target)
         checks.append(Check("dual_lq_matches_riccati", gap <= 1e-6, gap, 1e-6))

@@ -10,7 +10,9 @@ here works on the function side of that duality:
   measure directions.
 * :func:`gramian_mc` estimates the controllability gramian
   ``11^T + E int Psi^T H H^T Psi dt`` under the reference measure; its rank
-  matches the closure dimension.
+  matches the closure dimension.  The Zakai operators ``Psi`` of all paths
+  run through the filters' forward kernel and are summed as they go, never
+  stored.
 * :func:`duality_check_mc` verifies, by simulation, that the quadratic
   control cost of a deterministic input equals the mean-squared error of the
   estimator it induces.
@@ -27,9 +29,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._linalg import cached_expm, drift_step, numerical_rank, orth_basis, rk4, simpson
-from .filters import (chain_riccati, prior_flow, riccati_half_grid, riccati_rhs,
-                      zakai_operator_batch)
-from .models import HmmModel, LinearGaussianModel, as_simplex
+from .filters import (BATCH_BLOCK, _advance, _log_likelihoods, chain_riccati, prior_flow,
+                      riccati_half_grid, riccati_rhs)
+from .models import HmmModel, LinearGaussianModel, NumericalFailure, as_simplex
 from .sim import batch_hmm_observations, n_steps_for
 
 Array = NDArray[np.float64]
@@ -198,21 +200,39 @@ def gramian_mc(model: HmmModel, horizon: float, dt: float, n_paths: int, seed) -
     Observations are simulated under the reference measure (pure Brownian
     motion); each path accumulates
     ``11^T + sum_k Psi_k^T H H^T Psi_k dt`` with the Zakai solution operator
-    from the shared splitting scheme.  Returns the sample mean and the
-    entrywise standard error.
+    from the shared splitting scheme.  The ``d`` columns of every path's
+    operator run as rows of the forward kernel ``BATCH_BLOCK`` steps at a
+    time, and each block's terms are summed before the next one is formed,
+    so memory is O(paths d^2) beside the increments.  Returns the sample
+    mean and the entrywise standard error; a column whose mass underflows
+    (see :class:`~dualfilter.filters.ZakaiOperatorPath`) raises
+    :class:`~dualfilter.models.NumericalFailure` naming its step and path.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     d = model.dim
     h = model.obs.entries
     _, incs = batch_hmm_observations(model, horizon, dt, n_paths, seed, measure="P_tilde")
-    psi, log_scale = zakai_operator_batch(model, incs, dt)
-    n = incs.shape[1]
-    samples = np.broadcast_to(np.ones((d, d)), (n_paths, d, d)).copy()
-    for k in range(n):
-        ht_psi = np.einsum("dm,pde->pme", h, psi[:, k])
-        w = dt * np.exp(2.0 * log_scale[:, k])
-        samples += w[:, None, None] * np.einsum("pme,pmf->pef", ht_psi, ht_psi)
+    step = cached_expm(model.rate.entries.T, dt).T
+    samples = np.ones((n_paths, d, d))
+    x = np.tile(np.eye(d), (n_paths, 1))              # row p d + j: column j of path p
+    log_scale = np.zeros(n_paths * d)
+    for b in range(0, incs.shape[1], BATCH_BLOCK):
+        log_like = _log_likelihoods(h, incs[:, b:b + BATCH_BLOCK], dt)
+        c = log_like.shape[1]
+        peak = log_like.max(axis=2)
+        rows, logs = np.empty((n_paths * d, c + 1, d)), np.empty((n_paths * d, c + 1))
+        rows[:, 0], logs[:, 0] = x, log_scale
+        try:
+            x = _advance(step, np.repeat(np.exp(log_like - peak[..., None]), d, axis=0), x,
+                         rows[:, 1:], logs[:, 1:], first=b)
+        except NumericalFailure as exc:
+            raise NumericalFailure(exc.reason, exc.step, exc.path // d) from None
+        logs[:, 1:] = np.log(logs[:, 1:]) + np.repeat(peak, d, axis=0)
+        np.cumsum(logs, axis=1, out=logs)
+        log_scale = logs[:, c]
+        g = ((rows[:, :c] @ h) * np.exp(logs[:, :c, None])).reshape(n_paths, d, -1)
+        samples += dt * (g @ g.transpose(0, 2, 1))
     mean = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / np.sqrt(n_paths)
     return GramianEstimate(mean=mean, stderr=stderr, n_paths=n_paths)
@@ -236,20 +256,6 @@ def backward_dual_ode(model: HmmModel, f, u: Array, dt: float) -> Array:
     y[n] = np.asarray(f, dtype=float)
     for k in range(n - 1, -1, -1):
         y[k] = f_step @ y[k + 1] + f_int @ (h @ u[k])
-    return y
-
-
-def backward_dual_half_grid(model: HmmModel, f, u: Array, dt: float) -> Array:
-    """Same backward solve sampled at half-step resolution (2n + 1 points)."""
-    a = model.rate.entries
-    h = model.obs.entries
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    n = u.shape[0]
-    f_step, f_int = drift_step(a, dt / 2.0)
-    y = np.empty((2 * n + 1, model.dim))
-    y[2 * n] = np.asarray(f, dtype=float)
-    for j in range(2 * n - 1, -1, -1):
-        y[j] = f_step @ y[j + 1] + f_int @ (h @ u[j // 2])
     return y
 
 
@@ -277,7 +283,7 @@ def dual_cost_deterministic(model: HmmModel, f, u: Array, dt: float, prior=None)
     u = np.atleast_2d(np.asarray(u, dtype=float))
     n = u.shape[0]
     a = model.rate.entries
-    y_half = backward_dual_half_grid(model, f, u, dt)
+    y_half = backward_dual_ode(model, f, np.repeat(u, 2, axis=0), dt / 2.0)
     mu = prior_flow(a, prior.entries, 2 * n, dt / 2.0)
     y0 = y_half[0]
     cost = float(mu[0] @ (y0**2) - (mu[0] @ y0) ** 2)
@@ -359,8 +365,9 @@ def dual_lq_linear_gaussian(model: LinearGaussianModel, f, horizon: float, dt: f
 
     Integrates the Riccati flow forward, closes the loop with
     ``u_t = -H^T Sigma_t y_t`` and integrates ``-dy/dt = (A - H H^T Sigma) y``
-    backward from ``y(T) = f``.  Returns ``(cost, u path, y path)`` where the
-    cost is ``y_0^T Sigma_0 y_0 + int |u|^2 + y^T Q y dt`` by per-step
+    backward from ``y(T) = f``.  Returns ``(cost, u path, y path, sigma
+    path)`` on the step grid, like :func:`dual_deterministic_markov`, where
+    the cost is ``y_0^T Sigma_0 y_0 + int |u|^2 + y^T Q y dt`` by per-step
     Simpson quadrature; it reproduces ``f^T Sigma_T f`` up to integration
     error.
     """
@@ -369,10 +376,10 @@ def dual_lq_linear_gaussian(model: LinearGaussianModel, f, horizon: float, dt: f
     n = n_steps_for(horizon, dt)
     q = model.noise_cov
     weight = np.broadcast_to(q, (4 * n + 1,) + q.shape)
-    cost, u, y = _closed_loop_backward(model.a_mat, model.h_mat, weight,
-                                       riccati_half_grid(model, model.cov0, n, dt),
+    sig_half = riccati_half_grid(model, model.cov0, n, dt)
+    cost, u, y = _closed_loop_backward(model.a_mat, model.h_mat, weight, sig_half,
                                        np.asarray(f, dtype=float), dt)
-    return cost, u[::2], y[::2]
+    return cost, u[::2], y[::2], sig_half[::2]
 
 
 def dual_deterministic_markov(model: HmmModel, f, horizon: float, dt: float = 1e-3):

@@ -15,9 +15,13 @@ package.
 One kernel, :func:`_advance`, runs the scheme on a batch of rows,
 renormalizing every step and recording the mass it divides out; a single
 record runs it in about ``sqrt(n)`` chunks side by side (:func:`_scan`).
-The Wonham filters use raw likelihoods, so a mass underflow is reported at
-its step; the Zakai filter and the smoother factor each step's largest log
-likelihood into the log normalizer instead.
+The Zakai solution operator is the same kernel on the rows of the identity
+(one row per column), and the Monte-Carlo gramian of
+:mod:`~dualfilter.duality` streams a batch of operators through it.  The
+Wonham filters use raw likelihoods, so a mass underflow is reported at its
+step (and, for a batch, its first failing path); the Zakai filter, its
+operator and the smoother factor each step's largest log likelihood into
+the log normalizer instead.
 """
 
 from __future__ import annotations
@@ -37,8 +41,7 @@ Array = NDArray[np.float64]
 
 MASS_FLOOR = 1e-300
 SCAN_FLOOR = 1e-200      # smallest chunk-start mass the chunked scan trusts
-BATCH_BLOCK = 16         # steps of likelihoods wonham_filter_batch forms at once
-OPERATOR_RESCALE_ABOVE = 1e150
+BATCH_BLOCK = 16         # steps of likelihoods a batch forms at once
 
 
 @dataclass(frozen=True)
@@ -90,10 +93,16 @@ class UnnormalizedPath:
 class ZakaiOperatorPath:
     """Solution operator of the Zakai equation on the grid.
 
-    Columns are stored individually rescaled:
-    ``Psi(t_k)[:, j] = exp(log_scale[k, j]) * psi[k][:, j]``.  Scale factors
-    stay zero until a column would over- or underflow; because the recursion
-    multiplies from the left, a column's factor persists once applied.
+    Columns are stored renormalized:
+    ``Psi(t_k)[:, j] = exp(log_scale[k, j]) * psi[k][:, j]``, where each
+    column of ``psi[k]`` sums to one and ``log_scale[k, j]`` is the log mass
+    of column ``j``.  As in the Zakai filter, every step's largest log
+    likelihood is factored out and goes into ``log_scale`` with the mass the
+    kernel divides out, so no column over- or underflows silently: a column
+    whose peak-shifted mass drops below ``MASS_FLOOR`` (a state whose
+    likelihood falls below 1e-300 of the step's largest) raises
+    :class:`~dualfilter.models.NumericalFailure` at that step, the rule
+    :func:`zakai_filter` applies to a unit-mass prior on the same record.
     """
 
     dt: float
@@ -155,8 +164,9 @@ def _advance(step: Array, like: Array, x: Array, rows: Array, mass: Array | None
         s = x @ ones
         lo, hi = s.min(initial=np.inf), s.max(initial=0.0)      # B may be 0
         if not (lo > MASS_FLOOR and hi < np.inf):
-            kind = "overflow" if lo > MASS_FLOOR else "underflow"
-            raise NumericalFailure(f"posterior mass {kind}", step=first + i)
+            row = int(np.argmin((s > MASS_FLOOR) & (s < np.inf)))
+            kind = "overflow" if s[row] > MASS_FLOOR else "underflow"
+            raise NumericalFailure(f"posterior mass {kind}", step=first + i, path=row)
         x /= s[:, None]
         if mass is not None:
             mass[:, i] = s
@@ -202,7 +212,10 @@ def _scan(step: Array, log_like: Array, x0: Array, shift: bool) -> tuple[Array, 
     except NumericalFailure:
         scanned = False
     if not scanned:
-        _advance(step, like[None], x0[None], rows[None, 1:], mass[None])
+        try:
+            _advance(step, like[None], x0[None], rows[None, 1:], mass[None])
+        except NumericalFailure as exc:                 # one record: the step says it all
+            raise NumericalFailure(exc.reason, exc.step) from None
     np.cumsum(np.log(mass) + peak, out=mass)
     return rows, logn
 
@@ -256,57 +269,28 @@ def zakai_filter(model: HmmModel, prior, obs) -> UnnormalizedPath:
 def zakai_operator(model: HmmModel, obs) -> ZakaiOperatorPath:
     """Matrix solution operator ``Psi_t`` of the Zakai equation.
 
-    Propagated with the same per-step factors as the filters, so
-    ``Psi_t`` applied to a prior reproduces the Zakai masses exactly.
+    The Zakai filter applied to the identity: column ``j`` is the filter
+    started at the unit mass on state ``j``, run as row ``j`` of the forward
+    kernel with the same per-step factors, so ``Psi_t`` applied to a prior
+    reproduces the Zakai masses.  Raises
+    :class:`~dualfilter.models.NumericalFailure` at the step where a
+    column's peak-shifted mass underflows.
     """
     _check_hmm_inputs(model, obs)
-    d = model.dim
-    trans = cached_expm(model.rate.entries.T, obs.dt)
-    like = np.exp(_log_likelihoods(model.obs.entries, obs.increments, obs.dt))
-    psi = np.empty((obs.n_steps + 1, d, d))
-    log_scale = np.zeros((obs.n_steps + 1, d))
+    d, n = model.dim, obs.n_steps
+    log_like = _log_likelihoods(model.obs.entries, obs.increments, obs.dt)
+    peak = log_like.max(axis=1, keepdims=True)
+    psi = np.empty((n + 1, d, d))
+    log_scale = np.zeros((n + 1, d))
     psi[0] = np.eye(d)
-    cur = np.eye(d)
-    scale = np.zeros(d)
-    for k in range(obs.n_steps):
-        cur = like[k][:, None] * (trans @ cur)
-        peak = np.abs(cur).max(axis=0)
-        hot = (peak > OPERATOR_RESCALE_ABOVE) | ((peak > 0.0) & (peak < 1.0 / OPERATOR_RESCALE_ABOVE))
-        if np.any(hot):
-            cur[:, hot] /= peak[hot]
-            scale = scale + np.where(hot, np.log(peak, where=peak > 0, out=np.zeros(d)), 0.0)
-        psi[k + 1] = cur
-        log_scale[k + 1] = scale
+    try:                                              # row j of step k is psi[k][:, j]
+        _advance(cached_expm(model.rate.entries.T, obs.dt).T,
+                 np.broadcast_to(np.exp(log_like - peak), (d, n, d)), psi[0],
+                 psi[1:].transpose(2, 0, 1), log_scale[1:].T)
+    except NumericalFailure as exc:                     # one record: the step says it all
+        raise NumericalFailure(exc.reason, exc.step) from None
+    np.cumsum(np.log(log_scale[1:]) + peak, axis=0, out=log_scale[1:])
     return ZakaiOperatorPath(dt=obs.dt, psi=psi, log_scale=log_scale)
-
-
-def zakai_operator_batch(model: HmmModel, increments: Array, dt: float) -> tuple[Array, Array]:
-    """Operator paths for a batch of observation paths.
-
-    Returns ``(psi, log_scale)`` with shapes (n_paths, n_steps + 1, d, d)
-    and (n_paths, n_steps + 1).
-    """
-    n_paths, n_steps, _ = increments.shape
-    d = model.dim
-    trans = cached_expm(model.rate.entries.T, dt)
-    h = model.obs.entries
-    quad = 0.5 * np.sum(h * h, axis=1) * dt
-    psi = np.empty((n_paths, n_steps + 1, d, d))
-    log_scale = np.zeros((n_paths, n_steps + 1))
-    cur = np.broadcast_to(np.eye(d), (n_paths, d, d)).copy()
-    scale = np.zeros(n_paths)
-    psi[:, 0] = cur
-    for k in range(n_steps):
-        like = np.exp(increments[:, k] @ h.T - quad)        # (n_paths, d)
-        cur = like[:, :, None] * (trans[None] @ cur)
-        peak = np.abs(cur).max(axis=(1, 2))
-        hot = (peak > OPERATOR_RESCALE_ABOVE) | ((peak > 0) & (peak < 1.0 / OPERATOR_RESCALE_ABOVE))
-        if np.any(hot):
-            cur[hot] /= peak[hot, None, None]
-            scale[hot] += np.log(peak[hot])
-        psi[:, k + 1] = cur
-        log_scale[:, k + 1] = scale
-    return psi, log_scale
 
 
 def innovation_path(model: HmmModel, beliefs: BeliefPath, obs) -> Array:

@@ -35,12 +35,15 @@ INVARIANT_TOL = 1e-10
 class NumericalFailure(RuntimeError):
     """Raised when an iteration loses the invariants it needs to continue.
 
-    Carries the step index at which the failure was detected, when known.
+    Carries the step index at which the failure was detected, when known,
+    and for a batch of paths the index of the first path that failed.
     """
 
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message if step is None else f"{message} (step {step})")
-        self.step = step
+    def __init__(self, message: str, step: int | None = None, path: int | None = None):
+        where = ", ".join(f"{key} {val}" for key, val in (("step", step), ("path", path))
+                          if val is not None)
+        super().__init__(f"{message} ({where})" if where else message)
+        self.reason, self.step, self.path = message, step, path
 
 
 def _readonly(a: np.ndarray) -> Array:

@@ -1,15 +1,17 @@
-"""Per-step reference loops for the finite-state filters and smoother.
+"""Per-step reference loops for the finite-state filters, the Zakai
+operator, the smoother and the dual half-grid solve.
 
 Each function is the plain one-step-at-a-time recursion that the chunked
-forward kernel of ``dualfilter.filters`` replaces.  They are slow (Python
+forward kernel of ``dualfilter.filters`` (or, for the half grid,
+``dualfilter.duality.backward_dual_ode``) replaces.  They are slow (Python
 runs once per step) and exist only as test oracles.
 """
 
 import numpy as np
 from scipy.special import logsumexp
 
-from dualfilter._linalg import cached_expm
-from dualfilter.filters import MASS_FLOOR, BeliefPath, UnnormalizedPath
+from dualfilter._linalg import cached_expm, drift_step
+from dualfilter.filters import MASS_FLOOR, BeliefPath, UnnormalizedPath, ZakaiOperatorPath
 from dualfilter.models import NumericalFailure, as_simplex
 from dualfilter.smoothing import SmoothingPath
 
@@ -71,6 +73,43 @@ def zakai_loop(model, prior, obs) -> UnnormalizedPath:
         masses[k + 1] = pi
         logn[k + 1] = logn[k] + np.log(mass) + peak
     return UnnormalizedPath(dt=obs.dt, masses=masses, log_normalizer=logn)
+
+
+def zakai_operator_loop(model, obs) -> ZakaiOperatorPath:
+    """Raw likelihoods; a column is rescaled by its peak only when that peak
+    leaves ``[1e-150, 1e150]``."""
+    d, rescale_above = model.dim, 1e150
+    trans = cached_expm(model.rate.entries.T, obs.dt)
+    h = model.obs.entries
+    like = np.exp(obs.increments @ h.T - 0.5 * np.sum(h * h, axis=1) * obs.dt)
+    psi = np.empty((obs.n_steps + 1, d, d))
+    log_scale = np.zeros((obs.n_steps + 1, d))
+    psi[0] = cur = np.eye(d)
+    scale = np.zeros(d)
+    for k in range(obs.n_steps):
+        cur = like[k][:, None] * (trans @ cur)
+        peak = np.abs(cur).max(axis=0)
+        hot = (peak > rescale_above) | ((peak > 0.0) & (peak < 1.0 / rescale_above))
+        if np.any(hot):
+            cur[:, hot] /= peak[hot]
+            scale = scale + np.where(hot, np.log(peak, where=peak > 0, out=np.zeros(d)), 0.0)
+        psi[k + 1] = cur
+        log_scale[k + 1] = scale
+    return ZakaiOperatorPath(dt=obs.dt, psi=psi, log_scale=log_scale)
+
+
+def backward_dual_half_grid_loop(model, f, u, dt):
+    """``-dy/dt = A y + H u`` backward from ``y(T) = f`` at half-step
+    resolution (2 n + 1 points), ``u[j // 2]`` on half step ``j``."""
+    h = model.obs.entries
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    n = u.shape[0]
+    f_step, f_int = drift_step(model.rate.entries, dt / 2.0)
+    y = np.empty((2 * n + 1, model.dim))
+    y[2 * n] = np.asarray(f, dtype=float)
+    for j in range(2 * n - 1, -1, -1):
+        y[j] = f_step @ y[j + 1] + f_int @ (h @ u[j // 2])
+    return y
 
 
 def forward_backward_loop(model, obs, prior=None) -> SmoothingPath:

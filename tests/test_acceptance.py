@@ -66,7 +66,7 @@ def test_c02_kalman_duality():
             rng.standard_normal(d), np.eye(d) * rng.uniform(0.2, 1.0))
         f = rng.standard_normal(d)
         horizon, dt = 1.0, 1e-3
-        cost, _, _ = dual_lq_linear_gaussian(model, f, horizon, dt)
+        cost, _, _, _ = dual_lq_linear_gaussian(model, f, horizon, dt)
         sig = riccati_half_grid(model, model.cov0, int(horizon / dt), dt)
         worst = max(worst, abs(cost - f @ sig[-1] @ f))
     ok = worst <= 1e-6

@@ -169,6 +169,23 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert "not stabilizable" in summary["error"]
 
+    def test_gramian_column_underflow_names_step_and_path(self, runner, tmp_path):
+        # frozen chain, h = [0, 40], dt = 1: state 2's likelihood is below
+        # 1e-300 of state 1's unless dZ > 2.73, so path 0's state-2 column
+        # underflows at step 0 (it used to be zeroed silently, exit 0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "schema": 1,
+            "model": {"rate": [[0.0, 0.0], [0.0, 0.0]], "obs": [[0.0], [40.0]],
+                      "prior": [0.5, 0.5]},
+            "horizon": 5.0, "dt": 1.0, "n_paths": 50, "seed": 0,
+        }))
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["gramian", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"] == "posterior mass underflow (step 0, path 0)"
+
     def test_detect_classes_artifacts(self, runner, tmp_path):
         res = invoke(runner, "detect-classes", "--horizon", "10", "--dt", "0.02",
                      "--paths", "100", "--out", str(tmp_path))

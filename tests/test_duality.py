@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import make_hmm, random_hmm, rate_matrices
+from loop_oracles import backward_dual_half_grid_loop, zakai_operator_loop
 from dualfilter.catalog import counter_example, doeblin_demo, two_class_demo, two_state
-from dualfilter.duality import (Subspace, bsde_tree_oracle, controllable_subspace,
-                                dual_cost_deterministic, dual_deterministic_markov,
+from dualfilter.duality import (Subspace, backward_dual_ode, bsde_tree_oracle,
+                                controllable_subspace, dual_cost_deterministic,
+                                dual_deterministic_markov,
                                 dual_lq_linear_gaussian, duality_check_mc, gramian_mc,
                                 is_observable, is_stabilizable, lti_controllability)
 from dualfilter.filters import riccati_half_grid
 from dualfilter.models import LinearGaussianModel
+from dualfilter.sim import ObservationPath, batch_hmm_observations
 
 
 def exact_gramian(model, horizon: float, dt: float) -> np.ndarray:
@@ -231,6 +234,35 @@ class TestGramian:
         s = np.linalg.svd(exact, compute_uv=False)
         assert int(np.sum(s > 1e-9 * s[0])) == controllable_subspace(model).dim
 
+    @pytest.mark.parametrize("model", [counter_example(), doeblin_demo(), two_state(1.0, 2.0)],
+                             ids=["counter_example", "doeblin_demo", "two_state"])
+    def test_matches_per_path_oracle_sum(self, model):
+        # the same increments through the per-step operator loop, summed path by path
+        horizon, dt, n_paths, seed = 1.0, 0.01, 50, 29
+        _, incs = batch_hmm_observations(model, horizon, dt, n_paths, seed, measure="P_tilde")
+        h = model.obs.entries
+        samples = []
+        for inc in incs:
+            op = zakai_operator_loop(model, ObservationPath(dt=dt, increments=inc))
+            g = np.einsum("im,kij->kmj", h, [op.matrix(k) for k in range(inc.shape[0])])
+            samples.append(1.0 + dt * np.einsum("kmi,kmj->ij", g, g))
+        samples = np.array(samples)
+        est = gramian_mc(model, horizon, dt, n_paths, seed)
+        assert np.all(np.abs(est.mean - samples.mean(axis=0)) <= 1e-12 * samples.mean(axis=0))
+        stderr = samples.std(axis=0, ddof=1) / np.sqrt(n_paths)
+        assert np.all(np.abs(est.stderr - stderr) <= 1e-12 * stderr)
+
+    def test_memory_does_not_hold_the_operator_paths(self):
+        # the (paths, n + 1, d, d) operator tensor alone would be 64 MB here
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            gramian_mc(counter_example(), 5.0, 5e-3, 500, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
 
 class TestDualLqLinearGaussian:
     def test_cost_equals_riccati_value(self, rng):
@@ -246,7 +278,7 @@ class TestDualLqLinearGaussian:
             )
             f = rng.standard_normal(d)
             horizon, dt = 1.0, 1e-3
-            cost, u, y = dual_lq_linear_gaussian(model, f, horizon, dt)
+            cost, u, y, _ = dual_lq_linear_gaussian(model, f, horizon, dt)
             sig = riccati_half_grid(model, model.cov0, int(horizon / dt), dt)
             assert abs(cost - f @ sig[-1] @ f) <= 1e-6
 
@@ -255,7 +287,7 @@ class TestDualLqLinearGaussian:
         model = LinearGaussianModel(rng.standard_normal((d, d)) - np.eye(d), np.zeros((d, 1)),
                                     rng.standard_normal((d, 2)), np.zeros(d), np.eye(d))
         f = rng.standard_normal(d)
-        cost, u, y = dual_lq_linear_gaussian(model, f, 1.0, 1e-3)
+        cost, u, y, _ = dual_lq_linear_gaussian(model, f, 1.0, 1e-3)
         assert np.abs(u).max() == 0.0
         assert cost > 0
 
@@ -264,7 +296,7 @@ class TestDualLqLinearGaussian:
         model = LinearGaussianModel(rng.standard_normal((d, d)) - np.eye(d),
                                     rng.standard_normal((d, 1)),
                                     rng.standard_normal((d, 1)), np.zeros(d), np.eye(d))
-        cost, u, y = dual_lq_linear_gaussian(model, np.zeros(d), 1.0, 1e-3)
+        cost, u, y, _ = dual_lq_linear_gaussian(model, np.zeros(d), 1.0, 1e-3)
         assert cost == 0.0
         assert np.abs(u).max() == 0.0
 
@@ -301,6 +333,14 @@ class TestDeterministicDuality:
         integral = np.trapezoid(integrand, dx=n * dt / fine)
         var0 = mu_t[0] @ ys[0] ** 2 - (mu_t[0] @ ys[0]) ** 2
         assert abs(j - (var0 + integral)) <= 1e-5
+
+    def test_half_grid_is_the_backward_solve_on_halved_steps(self, rng):
+        # each control value held for two half steps is the half-grid solve, bit for bit
+        m = random_hmm(rng, d=3, m=2)
+        f = rng.standard_normal(3)
+        u = rng.standard_normal((40, 2))
+        assert np.array_equal(backward_dual_ode(m, f, np.repeat(u, 2, axis=0), 0.005),
+                              backward_dual_half_grid_loop(m, f, u, 0.01))
 
     def test_biased_constant_adds_squared_bias(self, rng):
         m = random_hmm(rng, d=3)

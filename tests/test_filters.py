@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import bounded_vectors, make_hmm, random_hmm, rate_matrices, simplex_vectors
-from loop_oracles import forward_backward_loop, wonham_batch_loop, wonham_loop, zakai_loop
+from loop_oracles import (forward_backward_loop, wonham_batch_loop, wonham_loop, zakai_loop,
+                          zakai_operator_loop)
 from dualfilter.catalog import counter_example, scalar_lg, two_state
 from dualfilter.filters import (innovation_path, kalman_bucy, kf_markov_chain, solve_are,
                                 wonham_filter, wonham_filter_batch, zakai_filter, zakai_operator)
@@ -226,6 +227,19 @@ class TestForwardKernel:
             wonham_loop(m, m.prior, obs)
         assert scan.value.step == loop.value.step == 0
 
+    def test_batch_failure_names_the_path(self):
+        # likelihoods [1, 0] at every step but path 2's step 5, where both underflow
+        m = make_hmm([[-1.0, 1.0], [1.0, -1.0]], [800.0, -800.0])
+        incs = np.full((4, 10, 1), 400.0)
+        incs[2, 5] = 1.0
+        with pytest.raises(NumericalFailure, match=r"underflow \(step 5, path 2\)$") as batch:
+            wonham_filter_batch(m, m.prior, incs, 1.0)
+        assert (batch.value.step, batch.value.path) == (5, 2)
+        # a single record names only the step
+        with pytest.raises(NumericalFailure, match=r"underflow \(step 5\)$") as single:
+            wonham_filter(m, m.prior, ObservationPath(dt=1.0, increments=incs[2]))
+        assert (single.value.step, single.value.path) == (5, None)
+
 
 class TestZakai:
     def test_no_information_keeps_unit_mass(self):
@@ -332,6 +346,48 @@ class TestZakaiOperator:
         mu, nu = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
         a, b = 0.3, -1.2
         assert np.abs(op.apply(a * mu + b * nu) - (a * op.apply(mu) + b * op.apply(nu))).max() <= 1e-10
+
+
+def assert_same_operator(op, ref):
+    """``Psi(t_k)`` entrywise to 1e-12 relative, scales folded in; compared
+    in the log domain, where the scaled entries cannot overflow."""
+    with np.errstate(divide="ignore"):
+        a, b = (np.log(p.psi) + p.log_scale[:, None, :] for p in (op, ref))
+    live = np.isfinite(b)
+    assert np.array_equal(np.isfinite(a), live)
+    assert np.abs(a[live] - b[live]).max() <= 1e-12
+
+
+class TestZakaiOperatorKernel:
+    @pytest.mark.parametrize("seed, d", [(1, 2), (2, 3), (3, 4), (4, 5)])
+    def test_matches_loop_oracle(self, seed, d):
+        m = random_hmm(np.random.default_rng(seed), d=d, m=2)
+        _, obs = simulate_hmm(m, 3.0, 0.01, seed=seed)
+        op = zakai_operator(m, obs)
+        assert np.all(np.abs(op.psi.sum(axis=1)[1:] - 1.0) <= 1e-14)   # columns renormalized
+        assert_same_operator(op, zakai_operator_loop(m, obs))
+
+    def test_matches_loop_oracle_under_column_growth(self):
+        # exponent 150 per step: the oracle rescales its columns by 1e150
+        # jumps, the kernel every step; both must give the same operator
+        m = make_hmm([[-1.0, 1.0], [1.0, -1.0]], [30.0, 0.0])
+        obs = ObservationPath(dt=1.0, increments=np.full((6, 1), 20.0))
+        ref = zakai_operator_loop(m, obs)
+        assert ref.log_scale[-1].max() > 100.0
+        assert_same_operator(zakai_operator(m, obs), ref)
+
+    def test_column_underflow_fails_like_the_filter(self):
+        # frozen chain: state 2's likelihood is exp(-800) of state 1's at
+        # step 0, so its column's peak-shifted mass underflows there
+        m = make_hmm(np.zeros((2, 2)), [0.0, 40.0])
+        obs = zero_obs(5, 1.0)
+        with pytest.raises(NumericalFailure, match=r"underflow \(step 0\)$") as op:
+            zakai_operator(m, obs)
+        with pytest.raises(NumericalFailure) as unn:
+            zakai_filter(m, [0.0, 1.0], obs)
+        assert op.value.step == unn.value.step == 0
+        assert op.value.path is None
+        assert np.all(zakai_operator_loop(m, obs).psi[1:, :, 1] == 0.0)    # the old rule: silently 0
 
 
 class TestKalmanBucy:
