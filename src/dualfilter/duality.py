@@ -324,8 +324,7 @@ def duality_check_mc(
     b = float(prior_s.entries @ traj.y[0]) if constant is None else float(constant)
     paths, incs = batch_hmm_observations(work, horizon, dt, n_paths, seed, measure="P")
     stoch = np.einsum("pkm,km->p", incs, u)
-    terminal = np.array([p.state_at(np.array([horizon]))[0] for p in paths])
-    err2 = (f[terminal] - (b - stoch)) ** 2
+    err2 = (f[paths.terminal()] - (b - stoch)) ** 2
     mse = float(err2.mean())
     stderr = float(err2.std(ddof=1) / np.sqrt(n_paths))
     return j_value, mse, stderr

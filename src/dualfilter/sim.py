@@ -2,14 +2,26 @@
 
 Markov-chain trajectories are sampled with the jump-chain construction
 (exponential holding times, embedded transition probabilities), so state
-paths carry no discretization error.  Observation increments on a uniform
-grid integrate the drift ``h(X_s)`` exactly across jumps inside each step
-before adding the Brownian increment; under the reference measure the
-increments are pure Brownian noise, independent of the state path.
+paths carry no discretization error.  Each categorical draw (the initial
+state, the state after a jump) is one uniform looked up in a cumulative
+distribution that is built once per call: the uniform, the table and the
+search are those of ``Generator.choice``, so the paths are the ones
+``choice`` would draw.  Observation increments on a uniform grid integrate
+the drift ``h(X_s)`` exactly across jumps inside each step before adding
+the Brownian increment; under the reference measure the increments are
+pure Brownian noise, independent of the state path.
+
+Path ``k`` draws from its own generator ``path_rng(seed, k)``: the chain
+first, then the noise.  A Monte-Carlo batch keeps its chains in one
+concatenated layout (:class:`PathBatch`) and forms every path's
+occupation integral with the arithmetic of
+:meth:`StatePath.occupation_integral`, so path ``k`` is the same in any
+batch and in :func:`simulate_hmm`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Literal
 
@@ -24,6 +36,7 @@ Array = NDArray[np.float64]
 
 ABSORBING_RATE = 1e-14    # below this total exit rate a state is absorbing
 GRID_ALIGN_TOL = 1e-9
+OCCUPATION_BLOCK = 1 << 18  # paths x grid points per block of a batch's occupation integrals
 
 Measure = Literal["P", "P_tilde"]
 
@@ -42,12 +55,9 @@ class StatePath:
     def __post_init__(self):
         t = np.asarray(self.jump_times, dtype=float)
         s = np.asarray(self.states, dtype=np.int64)
-        if t.shape != s.shape or t.size == 0:
+        if t.ndim != 1 or t.shape != s.shape or t.size == 0:
             raise ValueError("jump_times and states must be equal-length, non-empty")
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0) or t[-1] > self.horizon:
-            raise ValueError("jump times must start at 0, increase strictly, and stay within the horizon")
-        if np.any(s[1:] == s[:-1]):
-            raise ValueError("consecutive states must differ")
+        _check_paths(t, s, np.array([0, t.size]), self.horizon)
         object.__setattr__(self, "jump_times", t)
         object.__setattr__(self, "states", s)
 
@@ -58,19 +68,107 @@ class StatePath:
         return self.states[np.clip(idx, 0, len(self.states) - 1)]
 
     def occupation_integral(self, values: Array, grid: Array) -> Array:
-        """Exact ``int_0^{grid[k]} values[X_s] ds`` at every grid point.
+        """Exact ``int_0^{grid[k]} values[X_s] ds`` at every point of an increasing grid.
 
         ``values`` maps each state to a (possibly vector) integrand level;
         the integral is piecewise linear in t with kinks at the jumps.
         """
-        values = np.asarray(values, dtype=float)
-        times = np.append(self.jump_times, self.horizon)
-        levels = values[self.states]                      # (J, ...) level per segment
-        seg = np.diff(times)
-        cum = np.concatenate([np.zeros((1,) + levels.shape[1:]),
-                              np.cumsum(seg.reshape(-1, *([1] * (levels.ndim - 1))) * levels, axis=0)])
-        idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, len(seg) - 1)
-        return cum[idx] + (grid - times[idx]).reshape(-1, *([1] * (levels.ndim - 1))) * levels[idx]
+        return _occupation(self.jump_times, self.states, np.array([0, self.states.size]), values, grid)[0]
+
+
+@dataclass(frozen=True)
+class PathBatch:
+    """The state paths of a Monte-Carlo batch in one concatenated layout.
+
+    Path ``k`` starts in ``x0[k]`` at time 0 and makes the jumps
+    ``offsets[k]:offsets[k+1]`` of ``jump_times``, entering
+    ``jump_states`` at each.  The :class:`StatePath` invariants are checked
+    once for the whole batch; ``batch[k]`` builds path ``k`` as a
+    :class:`StatePath`.
+    """
+
+    x0: NDArray[np.int64]
+    jump_times: Array
+    jump_states: NDArray[np.int64]
+    offsets: NDArray[np.int64]
+    horizon: float
+
+    def __post_init__(self):
+        x0 = np.asarray(self.x0, dtype=np.int64)
+        t = np.asarray(self.jump_times, dtype=float)
+        s = np.asarray(self.jump_states, dtype=np.int64)
+        off = np.asarray(self.offsets, dtype=np.int64)
+        if (x0.ndim != 1 or t.ndim != 1 or t.shape != s.shape or off.shape != (x0.size + 1,)
+                or off[0] != 0 or off[-1] != t.size or np.any(np.diff(off) < 0)):
+            raise ValueError("offsets must split the jumps into one run per initial state")
+        for name, value in (("x0", x0), ("jump_times", t), ("jump_states", s), ("offsets", off)):
+            object.__setattr__(self, name, value)
+        _check_paths(*self.segments(), self.horizon)
+
+    def __len__(self) -> int:
+        return self.x0.size
+
+    def __getitem__(self, k: int) -> StatePath:
+        k = range(len(self))[k]
+        a, b = self.offsets[k], self.offsets[k + 1]
+        return StatePath(np.append(0.0, self.jump_times[a:b]),
+                         np.append(self.x0[k], self.jump_states[a:b]), self.horizon)
+
+    def segments(self) -> tuple[Array, NDArray[np.int64], NDArray[np.int64]]:
+        """``(times, states, offsets)`` of the holding segments: path ``k``'s
+        :class:`StatePath` arrays are ``times[offsets[k]:offsets[k+1]]`` and
+        the same slice of ``states``."""
+        starts = self.offsets[:-1]
+        return (np.insert(self.jump_times, starts, 0.0), np.insert(self.jump_states, starts, self.x0),
+                self.offsets + np.arange(len(self) + 1))
+
+    def terminal(self) -> NDArray[np.int64]:
+        """Each path's state at the horizon."""
+        _, states, offsets = self.segments()
+        return states[offsets[1:] - 1]
+
+
+def _check_paths(t: Array, s: NDArray[np.int64], offsets: NDArray[np.int64], horizon: float) -> None:
+    """The :class:`StatePath` invariants for every path of a segment layout."""
+    inner = np.ones(max(t.size - 1, 0), dtype=bool)      # neighbours within one path
+    inner[offsets[1:-1] - 1] = False
+    if np.any(t[offsets[:-1]] != 0.0) or np.any(np.diff(t)[inner] <= 0) or np.any(t > horizon):
+        raise ValueError("jump times must start at 0, increase strictly, and stay within the horizon")
+    if np.any((s[1:] == s[:-1])[inner]):
+        raise ValueError("consecutive states must differ")
+
+
+def _occupation(t: Array, s: NDArray[np.int64], offsets: NDArray[np.int64], values: Array,
+                grid: Array) -> Array:
+    """``int_0^{grid[i]} values[X_s] ds`` for every path of a segment layout,
+    shape ``(paths, len(grid)) + values.shape[1:]``.
+
+    Per path this is one arithmetic, whatever the batch: a cumulative sum
+    of segment areas up to the segment that holds the grid point, plus the
+    level times the time since that segment started.
+    """
+    values = np.asarray(values, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    levels = values[s]
+    tail = levels.shape[1:]
+    col = (-1,) + (1,) * len(tail)
+    lens = np.diff(offsets)
+    last = offsets[1:] - 1
+    width = np.diff(t, append=0.0)          # a path's last width is never summed
+    path_of = np.repeat(np.arange(lens.size), lens)
+    pos = np.arange(t.size) - offsets[path_of]
+    area = np.zeros((lens.size, lens.max(initial=0)) + tail)
+    area[path_of, pos] = width.reshape(col) * levels
+    cum = np.concatenate([np.zeros((lens.size, 1) + tail), np.cumsum(area, axis=1)], axis=1)
+    before = cum[path_of, pos]             # area of the path's earlier segments
+    # the segment holding grid point i is the last one with start <= grid[i]
+    first = np.searchsorted(grid, t, side="left")
+    first[offsets[:-1]] = 0
+    upto = np.append(first[1:], grid.size)
+    upto[last] = grid.size
+    seg = np.repeat(np.arange(t.size), upto - first)
+    out = before[seg] + (np.tile(grid, lens.size) - t[seg]).reshape(col) * levels[seg]
+    return out.reshape((lens.size, grid.size) + tail)
 
 
 @dataclass(frozen=True)
@@ -109,59 +207,16 @@ def n_steps_for(horizon: float, dt: float) -> int:
     return int(n)
 
 
-def simulate_ctmc(model: HmmModel, horizon: float, seed, path_index: int = 0) -> StatePath:
-    """Exact jump-chain sample of the hidden chain on ``[0, horizon]``.
-
-    Holding times in state ``i`` are exponential with rate ``-A(i,i)``; the
-    next state ``j`` is drawn with probability ``A(i,j)/(-A(i,i))``.  States
-    with total exit rate below 1e-14 are treated as absorbing.
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    return _ctmc_with_rng(model, horizon, path_rng(seed, path_index))
-
-
-def simulate_observation(
-    path: StatePath,
-    obs,
-    dt: float,
-    seed,
-    measure: Measure = "P",
-    path_index: int = 0,
-) -> ObservationPath:
-    """Observation increments driven by a given state path.
-
-    Under ``P`` each increment is the exact integral of the observation
-    drift over the step plus ``sqrt(dt)`` Gaussian noise; under ``P_tilde``
-    the increments are the noise alone, independent of the path.
-    """
-    h = obs.entries if hasattr(obs, "entries") else np.atleast_2d(np.asarray(obs, dtype=float))
-    if h.ndim == 1:
-        h = h[:, None]
-    n = n_steps_for(path.horizon, dt)
-    rng = path_rng(seed, path_index)
-    noise = np.sqrt(dt) * rng.standard_normal((n, h.shape[1]))
-    if measure == "P_tilde":
-        return ObservationPath(dt=float(dt), increments=noise)
-    grid = np.arange(n + 1) * dt
-    cum = path.occupation_integral(h, grid)
-    return ObservationPath(dt=float(dt), increments=np.diff(cum, axis=0) + noise)
-
-
 def simulate_hmm(model: HmmModel, horizon: float, dt: float, seed, measure: Measure = "P",
                  path_index: int = 0) -> tuple[StatePath, ObservationPath]:
     """One joint (state, observation) sample drawn from a single path stream.
 
-    Identical to path ``path_index`` of :func:`batch_hmm_observations`.
+    Under ``P`` this is path ``path_index`` of :func:`batch_hmm_observations`.
+    Under ``P_tilde`` the chain is still drawn first, so the noise differs
+    from the batch's, which skips the chain.
     """
-    n = n_steps_for(horizon, dt)
-    rng = path_rng(seed, path_index)
-    sp = _ctmc_with_rng(model, horizon, rng)
-    noise = np.sqrt(dt) * rng.standard_normal((n, model.n_channels))
-    if measure == "P_tilde":
-        return sp, ObservationPath(dt=float(dt), increments=noise)
-    cum = sp.occupation_integral(model.obs.entries, np.arange(n + 1) * dt)
-    return sp, ObservationPath(dt=float(dt), increments=np.diff(cum, axis=0) + noise)
+    paths, incs = _simulate(model, horizon, dt, seed, [path_index], chain=True, drift=measure == "P")
+    return paths[0], ObservationPath(dt=float(dt), increments=incs[0])
 
 
 def simulate_linear_gaussian(
@@ -193,48 +248,87 @@ def simulate_linear_gaussian(
 
 def batch_hmm_observations(
     model: HmmModel, horizon: float, dt: float, n_paths: int, seed, measure: Measure = "P"
-) -> tuple[list[StatePath], Array]:
+) -> tuple[PathBatch | None, Array]:
     """State paths and stacked increments ``(n_paths, n_steps, m)`` for a
-    Monte-Carlo run; path ``k`` is reproducible from ``(seed, k)`` alone."""
+    Monte-Carlo run; path ``k`` is reproducible from ``(seed, k)`` alone.
+
+    Jump draws are one uniform per lookup in per-state cumulative tables,
+    the draws ``Generator.choice`` makes, and the stream of path ``k`` is
+    ``path_rng(seed, k)``: chain, then noise.  The chains come back in one
+    :class:`PathBatch`.  Under ``P_tilde`` no chain is drawn and the paths
+    are ``None``.
+    """
+    chain = measure == "P"
+    return _simulate(model, horizon, dt, seed, range(n_paths), chain=chain, drift=chain)
+
+
+def _simulate(model: HmmModel, horizon: float, dt: float, seed, indices, chain: bool,
+              drift: bool) -> tuple[PathBatch | None, Array]:
+    """Paths ``indices`` of the stream ``seed``: each draws its chain (if
+    ``chain``) and then its noise; ``drift`` adds the chain's exact drift."""
     n = n_steps_for(horizon, dt)
-    paths: list[StatePath] = []
-    incs = np.empty((n_paths, n, model.n_channels))
-    grid = np.arange(n + 1) * dt
-    h = model.obs.entries
-    for k in range(n_paths):
+    incs = np.empty((len(indices), n, model.n_channels))
+    x0, times, states, offsets = [], [], [], [0]
+    draw = _jump_sampler(model, horizon) if chain else None
+    for row, k in enumerate(indices):
         rng = path_rng(seed, k)
-        if measure == "P_tilde":
-            # the state path is irrelevant under the reference measure
-            incs[k] = np.sqrt(dt) * rng.standard_normal((n, model.n_channels))
-            continue
-        sp = _ctmc_with_rng(model, horizon, rng)
-        paths.append(sp)
-        noise = np.sqrt(dt) * rng.standard_normal((n, model.n_channels))
-        cum = sp.occupation_integral(h, grid)
-        incs[k] = np.diff(cum, axis=0) + noise
+        if chain:
+            x0.append(draw(rng, times, states))
+            offsets.append(len(times))
+        rng.standard_normal(incs.shape[1:], out=incs[row])
+    incs *= np.sqrt(dt)
+    if not chain:
+        return None, incs
+    paths = PathBatch(x0, times, states, offsets, float(horizon))
+    if drift:
+        t, s, off = paths.segments()
+        grid = np.arange(n + 1) * dt
+        block = max(1, OCCUPATION_BLOCK // grid.size)
+        for a in range(0, len(paths), block):
+            b = min(a + block, len(paths))
+            lo, hi = off[a], off[b]
+            cum = _occupation(t[lo:hi], s[lo:hi], off[a:b + 1] - lo, model.obs.entries, grid)
+            incs[a:b] += np.diff(cum, axis=1)
     return paths, incs
 
 
-def _ctmc_with_rng(model: HmmModel, horizon: float, rng: np.random.Generator) -> StatePath:
+def _jump_sampler(model: HmmModel, horizon: float):
+    """``draw(rng, times, states)``: one chain path on ``[0, horizon]``.
+
+    Returns the initial state and appends each jump's time and new state.
+    Holding times in state ``i`` are exponential with rate ``-A(i,i)``; the
+    next state ``j`` has probability ``A(i,j)/(-A(i,i))``.  States with
+    total exit rate below 1e-14 are absorbing.  Each table is
+    ``p.cumsum() / its last entry`` and is searched with ``side="right"``,
+    as ``Generator.choice(d, p=p)`` does after one ``rng.random()``.
+    """
     a = model.rate.entries
     exit_rate = -np.diag(a)
-    state = int(rng.choice(model.dim, p=model.prior.entries))
-    times = [0.0]
-    states = [state]
-    t = 0.0
-    while True:
-        rate = exit_rate[state]
-        if rate <= ABSORBING_RATE:
-            break
-        t += rng.exponential(1.0 / rate)
-        if t >= horizon:
-            break
-        row = a[state].copy()
-        row[state] = 0.0
-        state = int(rng.choice(model.dim, p=row / rate))
-        times.append(t)
-        states.append(state)
-    return StatePath(np.array(times), np.array(states, dtype=np.int64), float(horizon))
+    off_diag = a - np.diag(np.diag(a))
+
+    def table(p: Array) -> list[float]:
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return cdf.tolist()
+
+    start = table(model.prior.entries)
+    moves = [rate > ABSORBING_RATE for rate in exit_rate]
+    scale = [1.0 / rate if go else None for rate, go in zip(exit_rate, moves)]
+    jump = [table(row / rate) if go else None for row, rate, go in zip(off_diag, exit_rate, moves)]
+
+    def draw(rng: np.random.Generator, times: list[float], states: list[int]) -> int:
+        state = x0 = bisect_right(start, rng.random())
+        t = 0.0
+        while (mean_hold := scale[state]) is not None:
+            t += rng.exponential(mean_hold)
+            if t >= horizon:
+                break
+            state = bisect_right(jump[state], rng.random())
+            times.append(t)
+            states.append(state)
+        return x0
+
+    return draw
 
 
 # -- CSV export ---------------------------------------------------------------

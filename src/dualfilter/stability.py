@@ -222,16 +222,6 @@ class PiConstant:
     certificate: tuple[Array, Array] | None = None   # minimizing (rho, f)
 
 
-def _energy(a: Array, rho: Array, f: Array) -> float:
-    diff = f[:, None] - f[None, :]
-    return float(rho @ np.einsum("ij,ij->i", a, diff**2))
-
-
-def _variance(rho: Array, f: Array) -> float:
-    m = rho @ f
-    return float(rho @ (f - m) ** 2)
-
-
 def _constant_complement(d: int) -> Array:
     ones = np.ones((d, 1)) / np.sqrt(d)
     u, _, _ = np.linalg.svd(ones, full_matrices=True)
@@ -465,12 +455,11 @@ def ergodic_class_detection(
     n = n_steps_for(horizon, dt)
     work = model.with_prior(priors.mu)
     paths, incs = batch_hmm_observations(work, horizon, dt, n_paths, seed, measure="P")
-    bel_nu = wonham_filter_batch(model, priors.nu, incs, dt)
+    bel_nu = wonham_filter_batch(model, priors.nu, incs, dt, keep_every=n)   # rows 0 and n
     nu = priors.nu
     indicators = np.stack([np.isin(np.arange(model.dim), sorted(cls)).astype(float) for cls in classes])
     class_mass = np.einsum("ptd,kd->ptk", bel_nu, indicators)
-    x0 = np.array([p.states[0] for p in paths])
-    true_mass = indicators[:, x0].T                     # (n_paths, n_classes)
+    true_mass = indicators[:, paths.x0].T               # (n_paths, n_classes)
     err = np.abs(class_mass[:, -1, :] - true_mass)
     detection_error = err.mean(axis=0)
     detection_stderr = err.std(axis=0, ddof=1) / np.sqrt(n_paths)
@@ -483,7 +472,7 @@ def ergodic_class_detection(
         if mass <= 0:
             continue
         nu_k = nu * indicators[k] / mass
-        bel_k = wonham_filter_batch(model, nu_k, incs, dt)
+        bel_k = wonham_filter_batch(model, nu_k, incs, dt, keep_every=n)
         recomposed += class_mass[:, -1, k][:, None] * bel_k[:, -1, :]
     max_gap = float(np.abs(recomposed - bel_nu[:, -1, :]).max())
     # class mass along nu-paths is a martingale; report the mean drift

@@ -1,18 +1,22 @@
 """Per-step reference loops for the finite-state filters, the Zakai
-operator, the smoother and the dual half-grid solve.
+operator, the smoother, the dual half-grid solve and the Monte-Carlo
+path sampler.
 
 Each function is the plain one-step-at-a-time recursion that the chunked
 forward kernel of ``dualfilter.filters`` (or, for the half grid,
-``dualfilter.duality.backward_dual_ode``) replaces.  They are slow (Python
-runs once per step) and exist only as test oracles.
+``dualfilter.duality.backward_dual_ode``; for the sampler,
+``dualfilter.sim.batch_hmm_observations``) replaces.  They are slow (Python
+runs once per step, jump or path) and exist only as test oracles.
 """
 
 import numpy as np
 from scipy.special import logsumexp
 
 from dualfilter._linalg import cached_expm, drift_step
+from dualfilter._rng import path_rng
 from dualfilter.filters import MASS_FLOOR, BeliefPath, UnnormalizedPath, ZakaiOperatorPath
 from dualfilter.models import NumericalFailure, as_simplex
+from dualfilter.sim import ABSORBING_RATE, n_steps_for
 from dualfilter.smoothing import SmoothingPath
 
 
@@ -143,3 +147,57 @@ def forward_backward_loop(model, obs, prior=None) -> SmoothingPath:
     joint = log_fwd + log_bwd
     smoothed = np.exp(joint - logsumexp(joint, axis=1, keepdims=True))
     return SmoothingPath(dt=dt, smoothed=smoothed, log_forward=log_fwd, log_backward=log_bwd)
+
+
+def ctmc_loop(model, horizon, rng):
+    """One jump-chain path, each categorical draw a ``Generator.choice``;
+    returns ``(jump_times, states)`` with ``jump_times[0] = 0``."""
+    a = model.rate.entries
+    exit_rate = -np.diag(a)
+    state = int(rng.choice(model.dim, p=model.prior.entries))
+    times, states = [0.0], [state]
+    t = 0.0
+    while True:
+        rate = exit_rate[state]
+        if rate <= ABSORBING_RATE:
+            break
+        t += rng.exponential(1.0 / rate)
+        if t >= horizon:
+            break
+        row = a[state].copy()
+        row[state] = 0.0
+        state = int(rng.choice(model.dim, p=row / rate))
+        times.append(t)
+        states.append(state)
+    return np.array(times), np.array(states, dtype=np.int64)
+
+
+def occupation_loop(jump_times, states, horizon, values, grid):
+    """``int_0^{grid[k]} values[X_s] ds`` of one path by cumulative sum and searchsorted."""
+    times = np.append(jump_times, horizon)
+    levels = values[states]
+    seg = np.diff(times)
+    cum = np.concatenate([np.zeros((1,) + levels.shape[1:]),
+                          np.cumsum(seg.reshape(-1, *([1] * (levels.ndim - 1))) * levels, axis=0)])
+    idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, len(seg) - 1)
+    return cum[idx] + (grid - times[idx]).reshape(-1, *([1] * (levels.ndim - 1))) * levels[idx]
+
+
+def batch_hmm_loop(model, horizon, dt, n_paths, seed, measure="P"):
+    """Path by path: ``([(jump_times, states), ...], increments)``; under
+    ``P_tilde`` no chain is drawn and the list is empty."""
+    n = n_steps_for(horizon, dt)
+    paths = []
+    incs = np.empty((n_paths, n, model.n_channels))
+    grid = np.arange(n + 1) * dt
+    for k in range(n_paths):
+        rng = path_rng(seed, k)
+        if measure == "P_tilde":
+            incs[k] = np.sqrt(dt) * rng.standard_normal((n, model.n_channels))
+            continue
+        jump_times, states = ctmc_loop(model, horizon, rng)
+        paths.append((jump_times, states))
+        noise = np.sqrt(dt) * rng.standard_normal((n, model.n_channels))
+        cum = occupation_loop(jump_times, states, horizon, model.obs.entries, grid)
+        incs[k] = np.diff(cum, axis=0) + noise
+    return paths, incs

@@ -366,7 +366,7 @@ class TestDeterministicDuality:
         n_paths = 4000
         paths, incs = batch_hmm_observations(m, horizon, dt, n_paths, seed=52)
         bels = wonham_filter_batch(m, m.prior, incs, dt)
-        x_term = np.array([p.state_at(np.array([horizon]))[0] for p in paths])
+        x_term = paths.terminal()
         err = (f[x_term] - bels[:, -1] @ f) ** 2
         se = err.std(ddof=1) / np.sqrt(n_paths)
         assert cost >= err.mean() - 3 * se

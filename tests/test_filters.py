@@ -484,7 +484,7 @@ class TestKfMarkovChain:
         paths, incs = batch_hmm_observations(m, horizon, dt, n_paths, seed=55)
         kf = kf_markov_chain_batch(m, incs, dt)
         wb = wonham_filter_batch(m, m.prior, incs, dt)
-        x_term = np.array([p.state_at(np.array([horizon]))[0] for p in paths])
+        x_term = paths.terminal()
         truth = f[x_term]
         err_kf = (truth - kf[:, -1] @ f) ** 2
         err_w = (truth - wb[:, -1] @ f) ** 2

@@ -2,26 +2,33 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import make_hmm, random_hmm
+from conftest import bounded_vectors, make_hmm, random_hmm, rate_matrices, simplex_vectors
 from dualfilter.catalog import counter_example, scalar_lg, two_state
-from dualfilter.sim import (ObservationPath, batch_hmm_observations, simulate_ctmc, simulate_hmm,
-                            simulate_linear_gaussian, simulate_observation, observation_csv,
-                            state_path_csv)
+from dualfilter.sim import (ObservationPath, PathBatch, StatePath, batch_hmm_observations, simulate_hmm,
+                            simulate_linear_gaussian, observation_csv, state_path_csv)
+from loop_oracles import batch_hmm_loop, occupation_loop
+
+
+def chain_path(model, horizon, seed, path_index=0):
+    # the state path of simulate_hmm; dt = horizon draws a single noise step
+    return simulate_hmm(model, horizon, horizon, seed=seed, path_index=path_index)[0]
 
 
 class TestCtmc:
     def test_zero_generator_never_jumps(self):
         m = make_hmm(np.zeros((3, 3)), [1.0, 0.0, 0.0])
-        path = simulate_ctmc(m, 10.0, seed=1)
+        path = chain_path(m, 10.0, seed=1)
         assert len(path.states) == 1
 
     def test_occupation_matches_invariant_law(self):
         # ergodic theorem: fraction of time in state 0 -> a2/(a1+a2)
         a1, a2 = 1.0, 2.0
         m = two_state(a1, a2)
-        path = simulate_ctmc(m, 1e4, seed=7)
+        path = chain_path(m, 1e4, seed=7)
         grid = np.array([0.0, 1e4])
         occ = path.occupation_integral(np.array([1.0, 0.0]), grid)[-1] / 1e4
         target = a2 / (a1 + a2)
@@ -34,7 +41,7 @@ class TestCtmc:
         holds = []
         k = 0
         while len(holds) < 10_000:
-            p = simulate_ctmc(m, 200.0, seed=42, path_index=k)
+            p = chain_path(m, 200.0, seed=42, path_index=k)
             holds.extend(np.diff(p.jump_times))
             k += 1
         holds = np.array(holds[:10_000])
@@ -43,17 +50,17 @@ class TestCtmc:
 
     def test_absorbing_state_ends_jumping(self):
         m = make_hmm([[-1.0, 1.0], [0.0, 0.0]], [1.0, 0.0], prior=[1.0, 0.0])
-        path = simulate_ctmc(m, 200.0, seed=77)
+        path = chain_path(m, 200.0, seed=77)
         assert path.states[-1] == 1
         assert len(path.states) == 2  # one jump, then absorbed
 
     def test_reproducible(self):
         m = counter_example()
-        p1 = simulate_ctmc(m, 50.0, seed=11, path_index=3)
-        p2 = simulate_ctmc(m, 50.0, seed=11, path_index=3)
+        p1 = chain_path(m, 50.0, seed=11, path_index=3)
+        p2 = chain_path(m, 50.0, seed=11, path_index=3)
         assert np.array_equal(p1.jump_times, p2.jump_times)
         assert np.array_equal(p1.states, p2.states)
-        p3 = simulate_ctmc(m, 50.0, seed=11, path_index=4)
+        p3 = chain_path(m, 50.0, seed=11, path_index=4)
         assert not np.array_equal(p1.jump_times, p3.jump_times)
 
     def test_joint_sampling_reproducible(self):
@@ -70,24 +77,22 @@ class TestCtmc:
 class TestObservation:
     def test_zero_h_gives_pure_noise_law(self):
         m = make_hmm([[-1.0, 1.0], [1.0, -1.0]], [0.0, 0.0])
-        path = simulate_ctmc(m, 100.0, seed=3)
-        obs = simulate_observation(path, m.obs, 0.01, seed=5)
+        _, obs = simulate_hmm(m, 100.0, 0.01, seed=5)
         z = obs.increments.ravel() / np.sqrt(0.01)
         assert stats.kstest(z, "norm").pvalue > 0.01
 
     def test_constant_state_mean_drift(self):
         # frozen chain: increment mean is h(state) * dt
         m = make_hmm(np.zeros((2, 2)), [2.0, 0.0], prior=[1.0, 0.0])
-        path = simulate_ctmc(m, 1000.0, seed=9)
-        obs = simulate_observation(path, m.obs, 0.01, seed=10)
+        _, obs = simulate_hmm(m, 1000.0, 0.01, seed=10)
         inc = obs.increments.ravel()
         se = inc.std(ddof=1) / np.sqrt(inc.size)
         assert abs(inc.mean() - 2.0 * 0.01) <= 3 * se
 
     def test_reference_measure_independent_of_state(self):
         m = counter_example()
-        path = simulate_ctmc(m, 100.0, seed=21)
-        obs = simulate_observation(path, m.obs, 0.01, seed=22, measure="P_tilde")
+        # chain and noise come from one stream: the chain's draws come first
+        path, obs = simulate_hmm(m, 100.0, 0.01, seed=22, measure="P_tilde")
         ind = (path.state_at(np.arange(obs.n_steps) * 0.01) == 0).astype(float)
         z = obs.increments[:, 0]
         r = np.corrcoef(ind, z)[0, 1]
@@ -108,7 +113,7 @@ class TestObservation:
         # where a left-point Riemann sum is exact for a piecewise constant path
         for trial in range(5):
             m = random_hmm(rng, d=4, m=2)
-            path = simulate_ctmc(m, 3.0, seed=100 + trial)
+            path = chain_path(m, 3.0, seed=100 + trial)
             grid = np.linspace(0.0, 3.0, 7)
             exact = path.occupation_integral(m.obs.entries, grid)
             for gi, t_end in enumerate(grid):
@@ -120,9 +125,8 @@ class TestObservation:
 
     def test_dt_must_divide_horizon(self):
         m = counter_example()
-        path = simulate_ctmc(m, 1.0, seed=1)
         with pytest.raises(ValueError, match="divide"):
-            simulate_observation(path, m.obs, 0.3, seed=1)
+            simulate_hmm(m, 1.0, 0.3, seed=1)
 
 
 class TestLinearGaussian:
@@ -173,3 +177,109 @@ class TestBatchAndExport:
         obs = ObservationPath(dt=0.5, increments=np.zeros((4, 1)))
         assert np.allclose(obs.grid(), [0.0, 0.5, 1.0, 1.5, 2.0])
         assert obs.horizon == 2.0
+
+
+def assert_matches_loop_oracle(model, horizon, dt, n_paths, seed, measure="P"):
+    paths, incs = batch_hmm_observations(model, horizon, dt, n_paths, seed, measure)
+    want_paths, want_incs = batch_hmm_loop(model, horizon, dt, n_paths, seed, measure)
+    assert np.array_equal(incs, want_incs)
+    if measure == "P_tilde":
+        assert paths is None and want_paths == []
+        return
+    assert len(paths) == n_paths
+    for k, (jump_times, states) in enumerate(want_paths):
+        assert np.array_equal(paths[k].jump_times, jump_times)
+        assert np.array_equal(paths[k].states, states)
+
+
+@st.composite
+def sampler_cases(draw):
+    d = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 2))
+    h = np.column_stack([draw(bounded_vectors(d)) for _ in range(m)])
+    model = make_hmm(draw(rate_matrices(d)), h, draw(simplex_vectors(d)))
+    horizon = draw(st.sampled_from([0.05, 1.0, 4.0]))
+    dt = horizon / draw(st.integers(1, 60))
+    return model, horizon, dt, draw(st.integers(1, 12)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestBatchSampler:
+    @settings(max_examples=60, deadline=None)
+    @given(sampler_cases(), st.sampled_from(["P", "P_tilde"]))
+    def test_matches_loop_oracle(self, case, measure):
+        assert_matches_loop_oracle(*case, measure=measure)
+
+    def test_matches_loop_oracle_on_random_models(self, rng):
+        for d in range(2, 6):
+            m = random_hmm(rng, d=d, m=2)
+            assert_matches_loop_oracle(m, 3.0, 0.01, 20, seed=d)
+
+    @pytest.mark.parametrize("rate, prior", [
+        ([[-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.5, -1.0]], [0.2, 0.3, 0.5]),  # absorbing state 1
+        ([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 2.0, -2.0]], [0.5, 0.0, 0.5]),  # zero prior entry
+        ([[-2.0, 0.0, 2.0], [1.0, -1.0, 0.0], [0.0, 3.0, -3.0]], [1.0, 0.0, 0.0]),  # zero off-diagonal rates
+    ])
+    def test_matches_loop_oracle_on_edge_models(self, rate, prior):
+        m = make_hmm(rate, [0.0, 1.0, -2.0], prior)
+        assert_matches_loop_oracle(m, 5.0, 0.05, 40, seed=3)
+        paths, _ = batch_hmm_observations(m, 5.0, 0.05, 40, seed=3)
+        never = [j for j in range(3) if prior[j] == 0.0]
+        assert not np.isin(paths.x0, never).any()
+
+    def test_horizon_shorter_than_first_holding_time(self):
+        m = two_state(1e-3, 1e-3)
+        assert_matches_loop_oracle(m, 0.5, 0.1, 10, seed=4)
+        paths, _ = batch_hmm_observations(m, 0.5, 0.1, 10, seed=4)
+        assert paths.jump_times.size == 0
+        assert np.array_equal(paths.terminal(), paths.x0)
+
+    def test_single_path(self):
+        assert_matches_loop_oracle(counter_example(), 2.0, 0.01, 1, seed=9)
+
+    def test_occupation_matches_loop_when_jumps_hit_grid_points(self):
+        h = np.array([[1.0, -2.0], [0.5, 3.0], [-1.5, 0.25]])
+        path = StatePath(np.array([0.0, 0.25, 0.5, 0.625, 1.0]), np.array([0, 2, 1, 0, 2]), 1.0)
+        grid = np.arange(5) * 0.25
+        want = occupation_loop(path.jump_times, path.states, 1.0, h, grid)
+        assert np.array_equal(path.occupation_integral(h, grid), want)
+
+    def test_path_does_not_depend_on_batch_size(self):
+        m = counter_example()
+        small, inc_small = batch_hmm_observations(m, 4.0, 0.01, 3, seed=21)
+        large, inc_large = batch_hmm_observations(m, 4.0, 0.01, 50, seed=21)
+        for k in range(3):
+            assert np.array_equal(small[k].jump_times, large[k].jump_times)
+            assert np.array_equal(small[k].states, large[k].states)
+        assert np.array_equal(inc_small, inc_large[:3])
+
+    def test_simulate_hmm_is_a_batch_path(self):
+        m = random_hmm(np.random.default_rng(5), d=4, m=2)
+        paths, incs = batch_hmm_observations(m, 2.0, 0.02, 6, seed=17)
+        for k in range(6):
+            sp, obs = simulate_hmm(m, 2.0, 0.02, seed=17, path_index=k)
+            assert np.array_equal(sp.jump_times, paths[k].jump_times)
+            assert np.array_equal(sp.states, paths[k].states)
+            assert np.array_equal(obs.increments, incs[k])
+
+    def test_initial_and_terminal_states(self):
+        m = counter_example()
+        paths, _ = batch_hmm_observations(m, 3.0, 0.01, 30, seed=2)
+        assert np.array_equal(paths.x0, [paths[k].states[0] for k in range(30)])
+        assert np.array_equal(paths.terminal(), [paths[k].state_at(3.0) for k in range(30)])
+
+    @pytest.mark.parametrize("times, states, message", [
+        ([0.5, 1.0], [1, 1], "consecutive states"),           # repeated state
+        ([0.5, 0.5], [1, 0], "increase strictly"),            # non-increasing time
+        ([0.5, 2.5], [1, 0], "within the horizon"),
+    ])
+    def test_validation_rejects_bad_paths(self, times, states, message):
+        # path 0 is valid; path 1 starts in 0 and makes the given jumps
+        with pytest.raises(ValueError, match=message):
+            PathBatch([0, 0], [0.3] + times, [1] + states, [0, 1, 3], horizon=2.0)
+
+    def test_validation_checks_offsets(self):
+        PathBatch([0, 1], [0.3], [1], [0, 1, 1], horizon=2.0)
+        with pytest.raises(ValueError, match="offsets"):
+            PathBatch([0, 1], [0.3], [1], [0, 1, 2], horizon=2.0)
+        with pytest.raises(ValueError, match="consecutive states"):
+            PathBatch([0, 1], [0.3], [1], [0, 0, 1], horizon=2.0)
