@@ -16,7 +16,7 @@ first, then the noise.  A Monte-Carlo batch keeps its chains in one
 concatenated layout (:class:`PathBatch`) and forms every path's
 occupation integral with the arithmetic of
 :meth:`StatePath.occupation_integral`, so path ``k`` is the same in any
-batch and in :func:`simulate_hmm`.
+batch and, under ``P``, in :func:`simulate_hmm`.
 """
 
 from __future__ import annotations
