@@ -44,7 +44,8 @@ def numerical_rank(m: np.ndarray, threshold: float | None = None, rel_tol: float
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    """Symmetric part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def van_loan_discretization(a_t: np.ndarray, q: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -90,6 +91,22 @@ def rk4(rhs, y0, n: int, h: float) -> np.ndarray:
         k4 = rhs(y + h * k3, k, 2)
         ys[k + 1] = y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     return ys
+
+
+def affine_scan(m, b, x0) -> np.ndarray:
+    """States of ``x_{k+1} = x_k @ m_k + b[k]`` from ``x0``, in row form.
+
+    ``m`` is one (d, d) matrix for every step or a stack (n, d, d) of one
+    per step; ``b`` has ``n`` rows of the shape of ``x0``, which may carry
+    leading batch axes.  Returns all ``n + 1`` states, shape (n + 1,) + x0.shape.
+    """
+    b = np.asarray(b, dtype=float)
+    m = np.broadcast_to(m, (b.shape[0],) + np.shape(m)[-2:])
+    xs = np.empty((b.shape[0] + 1,) + np.shape(x0))
+    xs[0] = x = np.asarray(x0, dtype=float)
+    for k in range(b.shape[0]):
+        xs[k + 1] = x = x @ m[k] + b[k]
+    return xs
 
 
 def simpson(start: np.ndarray, mid: np.ndarray, end: np.ndarray, h: float) -> float:

@@ -7,26 +7,11 @@ batched or scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class RngSeed:
-    """64-bit master seed for an experiment."""
-
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed) & (2**64 - 1))
-
-
-def as_seed(seed) -> RngSeed:
-    return seed if isinstance(seed, RngSeed) else RngSeed(int(seed))
-
-
 def path_rng(seed, path_index: int = 0) -> np.random.Generator:
-    """Generator for one Monte-Carlo path, independent across indices."""
-    master = as_seed(seed).seed
+    """Generator for one Monte-Carlo path, independent across indices; the
+    master seed is taken modulo 2**64."""
+    master = int(seed) & (2**64 - 1)
     return np.random.default_rng(np.random.SeedSequence(entropy=master, spawn_key=(path_index,)))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._linalg import cached_expm, drift_step, numerical_rank, orth_basis, rk4, simpson
+from ._linalg import affine_scan, cached_expm, drift_step, numerical_rank, orth_basis, rk4, simpson
 from .filters import (BATCH_BLOCK, _advance, _log_likelihoods, chain_riccati, prior_flow,
                       riccati_half_grid, riccati_rhs)
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, as_simplex
@@ -121,7 +121,7 @@ class DualTrajectory:
         return self.y[-1]
 
 
-def controllable_subspace(model: HmmModel, tol: float = RANK_REL_TOL, max_passes: int | None = None) -> Subspace:
+def controllable_subspace(model: HmmModel, tol: float = RANK_REL_TOL) -> Subspace:
     """Smallest subspace containing the constants and closed under the
     generator and pointwise multiplication by each observation column.
 
@@ -134,8 +134,7 @@ def controllable_subspace(model: HmmModel, tol: float = RANK_REL_TOL, max_passes
     a = model.rate.entries
     h = model.obs.entries
     basis = orth_basis(np.ones((d, 1)), tol)
-    limit = max_passes if max_passes is not None else d + 1
-    for _ in range(limit):
+    for _ in range(d + 1):
         generated = [basis]
         generated.append(a @ basis)
         for j in range(h.shape[1]):
@@ -247,16 +246,11 @@ def backward_dual_ode(model: HmmModel, f, u: Array, dt: float) -> Array:
     integrated exactly with the matrix exponential, so the only error in the
     dual trajectory is roundoff.  Returns ``y`` at all grid points.
     """
-    a = model.rate.entries
-    h = model.obs.entries
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    n = u.shape[0]
-    f_step, f_int = drift_step(a, dt)
-    y = np.empty((n + 1, model.dim))
-    y[n] = np.asarray(f, dtype=float)
-    for k in range(n - 1, -1, -1):
-        y[k] = f_step @ y[k + 1] + f_int @ (h @ u[k])
-    return y
+    f_step, f_int = drift_step(model.rate.entries, dt)
+    # step k's forcing f_int @ (h @ u[k]), one matrix-vector product per step as a stack
+    forcing = (f_int @ (model.obs.entries @ u[:, :, None]))[:, :, 0]
+    return affine_scan(f_step.T, forcing[::-1], np.asarray(f, dtype=float))[::-1]
 
 
 def deterministic_dual_trajectory(model: HmmModel, f, u: Array, dt: float) -> DualTrajectory:

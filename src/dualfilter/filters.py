@@ -34,7 +34,7 @@ from numpy.typing import NDArray
 from scipy.linalg import LinAlgError, solve_continuous_are
 
 from ._csv import csv_text, grid_rows
-from ._linalg import cached_expm, rk4, symmetrize
+from ._linalg import affine_scan, cached_expm, rk4, symmetrize
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, as_simplex, q_matrices
 
 Array = NDArray[np.float64]
@@ -336,6 +336,17 @@ def riccati_half_grid(model: LinearGaussianModel, sigma0: Array, n_steps: int, d
     return _rk4_riccati(model, sigma0, 2 * n_steps, dt / 2.0)
 
 
+def _kalman_means(trans: Array, h: Array, covs: Array, increments: Array, x0: Array,
+                  dt: float) -> Array:
+    """Kalman mean update ``x_{k+1} = x_k T + (dZ_k - x_k H dt) K_k^T`` with
+    gain ``K_k = Sigma_k H``, shared by the Kalman-Bucy (``T = I + A dt``)
+    and the chain (``T = expm(A dt)``) filters.  ``increments`` (..., n, m)
+    gives means (..., n + 1, d)."""
+    gains_t = (covs[:-1] @ h).transpose(0, 2, 1)          # K_k^T, (n, m, d)
+    forcing = np.einsum("k...m,kmd->k...d", np.moveaxis(increments, -2, 0), gains_t)
+    return np.moveaxis(affine_scan(trans - dt * (h @ gains_t), forcing, x0), 0, -2)
+
+
 def kalman_bucy(model: LinearGaussianModel, obs) -> GaussianBeliefPath:
     """Kalman-Bucy filter: Riccati covariance by RK4, mean by Euler in ``dZ``."""
     if obs.n_channels != model.n_channels:
@@ -343,12 +354,8 @@ def kalman_bucy(model: LinearGaussianModel, obs) -> GaussianBeliefPath:
     n, dt = obs.n_steps, obs.dt
     covs = _rk4_riccati(model, model.cov0, n, dt)
     _check_psd(covs)
-    means = np.empty((n + 1, model.dim))
-    means[0] = model.mean0
-    a, h = model.a_mat, model.h_mat
-    for k in range(n):
-        m = means[k]
-        means[k + 1] = m + a.T @ m * dt + covs[k] @ h @ (obs.increments[k] - h.T @ m * dt)
+    means = _kalman_means(np.eye(model.dim) + model.a_mat * dt, model.h_mat, covs,
+                          obs.increments, model.mean0, dt)
     return GaussianBeliefPath(dt=dt, means=means, covs=covs)
 
 
@@ -403,17 +410,11 @@ def chain_riccati(model: HmmModel, n_steps: int, dt: float) -> tuple[Array, Arra
 
 
 def _chain_kalman(model: HmmModel, increments: Array, dt: float) -> tuple[Array, Array]:
-    n_paths, n, _ = increments.shape
-    covs, _ = chain_riccati(model, n, dt)
+    covs, _ = chain_riccati(model, increments.shape[1], dt)
     _check_psd(covs)
-    h = model.obs.entries
-    gains = covs @ h
-    trans_t = cached_expm(model.rate.entries.T, dt).T
-    est = np.empty((n_paths, n + 1, model.dim))
-    est[:, 0] = x = model.prior.entries
-    for k in range(n):
-        x = (x @ trans_t) + (increments[:, k] - (x @ h) * dt) @ gains[k].T
-        est[:, k + 1] = x
+    prior = np.broadcast_to(model.prior.entries, (increments.shape[0], model.dim))
+    est = _kalman_means(cached_expm(model.rate.entries.T, dt).T, model.obs.entries, covs,
+                        increments, prior, dt)
     return est, covs
 
 

@@ -21,8 +21,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 Array = NDArray[np.float64]
 
@@ -263,21 +261,20 @@ def ergodic_classes(rate: RateMatrix) -> tuple[list[frozenset[int]], frozenset[i
     has positive rate out of it.  Returns ``(classes, transient)``; the
     classes and the transient set partition ``{0, .., d-1}``.
     """
-    a = rate.entries
-    d = rate.dim
-    adj = csr_matrix((a > RATE_EPS).astype(np.int8))
-    n_comp, labels = connected_components(adj, directed=True, connection="strong")
-    members = [np.nonzero(labels == c)[0] for c in range(n_comp)]
+    reach = (rate.entries > RATE_EPS) | np.eye(rate.dim, dtype=bool)
+    for _ in range((rate.dim - 1).bit_length()):          # then paths of up to d - 1 edges
+        reach = reach @ reach
+    same = reach & reach.T                                # i and j communicate
     closed: list[frozenset[int]] = []
     transient: set[int] = set()
-    for idx in members:
-        outside = np.setdiff1d(np.arange(d), idx)
-        leak = a[np.ix_(idx, outside)].max(initial=0.0)
-        if leak > RATE_EPS:
-            transient.update(int(i) for i in idx)
+    for i in range(rate.dim):                             # i is the smallest state of a new class
+        if same[i, :i].any():
+            continue
+        cls = frozenset(np.flatnonzero(same[i]).tolist())
+        if np.array_equal(reach[i], same[i]):             # nothing outside the class is reachable
+            closed.append(cls)
         else:
-            closed.append(frozenset(int(i) for i in idx))
-    closed.sort(key=min)
+            transient |= cls
     return closed, frozenset(transient)
 
 

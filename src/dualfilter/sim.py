@@ -29,6 +29,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._csv import csv_text, grid_rows
+from ._linalg import affine_scan
 from ._rng import path_rng
 from .models import HmmModel, LinearGaussianModel
 
@@ -232,15 +233,13 @@ def simulate_linear_gaussian(
     rng = path_rng(seed, path_index)
     d, m = model.dim, model.n_channels
     p = model.sigma.shape[1]
-    x = np.zeros((n + 1, d))
     c0 = (model.cov0 + model.cov0.T) / 2
     lam, vec = np.linalg.eigh(c0)
-    x[0] = model.mean0 + vec @ (np.sqrt(np.clip(lam, 0.0, None)) * rng.standard_normal(d))
-    dz = np.zeros((n, m))
-    sq = np.sqrt(dt)
-    for k in range(n):
-        dz[k] = model.h_mat.T @ x[k] * dt + sq * rng.standard_normal(m)
-        x[k + 1] = x[k] + model.a_mat.T @ x[k] * dt + model.sigma @ (sq * rng.standard_normal(p))
+    x0 = model.mean0 + vec @ (np.sqrt(np.clip(lam, 0.0, None)) * rng.standard_normal(d))
+    # one block: step k draws its m observation normals, then its p state normals
+    noise = np.sqrt(dt) * rng.standard_normal((n, m + p))
+    x = affine_scan(np.eye(d) + model.a_mat * dt, noise[:, m:] @ model.sigma.T, x0)
+    dz = x[:-1] @ model.h_mat * dt + noise[:, :m]
     return x, ObservationPath(dt=float(dt), increments=dz)
 
 

@@ -12,12 +12,18 @@ combination (forward Kalman filter plus a backward information filter), and
 the minimum-energy trajectory obtained from deterministic forward/backward
 ODEs driven by the increment ratio ``dZ/dt``.
 
-Three Kalman discretizations remain, because each serves a different check:
-:func:`~dualfilter.filters.kalman_bucy` is the Euler mean update in ``dZ``;
-:func:`_discrete_kalman` is the exact filter of the discretized model that
-RTS and Fraser-Potter need to agree to roundoff; :func:`_forward_reference`
-is the fourth-order joint solve that the minimum-energy backward pass must
-match.
+Every mean of the linear side is one affine recursion
+``x_{k+1} = x_k M_k + b_k`` (:func:`~dualfilter._linalg.affine_scan`): the
+filtered means, the RTS sweep, the Fraser-Potter information vector and
+:func:`reintegrate`, whose RK4 step on a linear ODE is exactly such a map.
+The covariances do not depend on the record, and three discretizations of
+them remain, because each serves a different check:
+:func:`~dualfilter.filters.kalman_bucy` integrates the Riccati flow by RK4
+beside its Euler mean update in ``dZ``; :func:`_discrete_kalman` is the
+exact filter of the discretized model, on which RTS and Fraser-Potter must
+agree to roundoff; :func:`_forward_reference` solves the covariance jointly
+with the mean at fourth order on the half grid, which the minimum-energy
+backward pass must match.
 """
 
 from __future__ import annotations
@@ -26,14 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import logsumexp
 
 from ._csv import csv_text, grid_rows
-from ._linalg import cached_expm, rk4, simpson, symmetrize, van_loan_discretization
+from ._linalg import affine_scan, cached_expm, rk4, simpson, symmetrize, van_loan_discretization
 from .filters import _log_likelihoods, _scan, riccati_rhs
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, as_simplex
 
 Array = NDArray[np.float64]
+
+CONSISTENCY_TOL = 1e-8    # largest state gap a (trajectory, control) pair may leave on replay
 
 
 @dataclass(frozen=True)
@@ -110,7 +117,8 @@ def forward_backward_smoother(model: HmmModel, obs, prior=None) -> SmoothingPath
             log_bwd[:-1] = np.log(bwd[::-1] @ step.T) + log_mass[::-1, None]
 
     joint = log_fwd + log_bwd
-    smoothed = np.exp(joint - logsumexp(joint, axis=1, keepdims=True))
+    peak = joint.max(axis=1, keepdims=True)               # row log-sum-exp, shifted by the peak
+    smoothed = np.exp(joint - (np.log(np.exp(joint - peak).sum(axis=1, keepdims=True)) + peak))
     return SmoothingPath(dt=dt, smoothed=smoothed, log_forward=log_fwd, log_backward=log_bwd)
 
 
@@ -121,28 +129,30 @@ def _discrete_kalman(model: LinearGaussianModel, obs):
 
     The state transition over a step is exact (Van Loan); the measurement at
     node ``k >= 1`` is ``dZ_{k-1}/dt``, a noisy reading of ``H^T x_k`` with
-    noise covariance ``I/dt``.
+    noise covariance ``I/dt``.  The covariances and gains do not depend on
+    the record; the filtered means are one affine scan.
     """
     n, dt = obs.n_steps, obs.dt
     d, m = model.dim, model.n_channels
     f, qd = van_loan_discretization(model.a_mat.T, model.noise_cov, dt)
     h = model.h_mat
     r = np.eye(m) / dt
-    xf = np.empty((n + 1, d)); pf = np.empty((n + 1, d, d))
-    xp = np.empty((n + 1, d)); pp = np.empty((n + 1, d, d))
-    xf[0], pf[0] = model.mean0, symmetrize(model.cov0)
+    pf = np.empty((n + 1, d, d)); pp = np.empty((n + 1, d, d))
+    gains = np.empty((n, d, m))
+    pf[0] = symmetrize(model.cov0)
     y = obs.increments / dt
     for k in range(1, n + 1):
-        xp[k] = f @ xf[k - 1]
         pp[k] = symmetrize(f @ pf[k - 1] @ f.T + qd)
         s = h.T @ pp[k] @ h + r
         cond = np.linalg.cond(s)
         if not np.isfinite(cond) or cond > 1e12:
             raise NumericalFailure("innovation covariance ill-conditioned", step=k)
-        gain = np.linalg.solve(s.T, (pp[k] @ h).T).T
-        xf[k] = xp[k] + gain @ (y[k - 1] - h.T @ xp[k])
+        gains[k - 1] = gain = np.linalg.solve(s.T, (pp[k] @ h).T).T
         pf[k] = symmetrize((np.eye(d) - gain @ h.T) @ pp[k])
-    return f, qd, xf, pf, xp, pp, y, r
+    gains_t = gains.transpose(0, 2, 1)
+    # x_f(k) = (I - G_k H^T) F x_f(k-1) + G_k y_{k-1}, in row form
+    xf = affine_scan(f.T - (f.T @ h) @ gains_t, np.einsum("km,kmd->kd", y, gains_t), model.mean0)
+    return f, qd, xf, pf, pp, y, r
 
 
 def rts_smoother(model: LinearGaussianModel, obs) -> GaussianSmoothingPath:
@@ -154,16 +164,20 @@ def rts_smoother(model: LinearGaussianModel, obs) -> GaussianSmoothingPath:
     for the two-filter route.
     """
     n = obs.n_steps
-    f, qd, xf, pf, xp, pp, _, _ = _discrete_kalman(model, obs)
-    xs = xf.copy()
+    f, qd, xf, pf, pp, _, _ = _discrete_kalman(model, obs)
+    cond = np.linalg.cond(pp[1:])
+    bad = np.flatnonzero(~(np.isfinite(cond) & (cond <= 1e12)))
+    if bad.size:                                          # the sweep meets the last one first
+        raise NumericalFailure("predicted covariance ill-conditioned", step=int(bad[-1]))
+    # G_k^T = P_p(k+1)^{-T} (P_f(k) F^T)^T
+    gains_t = np.linalg.solve(pp[1:].transpose(0, 2, 1), (pf[:-1] @ f.T).transpose(0, 2, 1))
     ps = pf.copy()
     for k in range(n - 1, -1, -1):
-        cond = np.linalg.cond(pp[k + 1])
-        if not np.isfinite(cond) or cond > 1e12:
-            raise NumericalFailure("predicted covariance ill-conditioned", step=k)
-        gain = np.linalg.solve(pp[k + 1].T, (pf[k] @ f.T).T).T
-        xs[k] = xf[k] + gain @ (xs[k + 1] - xp[k + 1])
+        gain = gains_t[k].T
         ps[k] = symmetrize(pf[k] + gain @ (ps[k + 1] - pp[k + 1]) @ gain.T)
+    # backward: x_s(k) = x_s(k+1) G_k^T + x_f(k) - x_p(k+1) G_k^T, with x_p(k+1) = F x_f(k)
+    forcing = xf[:-1] - np.einsum("kd,kde->ke", xf[:-1] @ f.T, gains_t)
+    xs = affine_scan(gains_t[::-1], forcing[::-1], xf[-1])[::-1]
     return GaussianSmoothingPath(dt=obs.dt, smoothed_means=xs, filter_means=xf,
                                  smoothed_covs=ps, filter_covs=pf)
 
@@ -179,29 +193,28 @@ def fraser_potter_smoother(model: LinearGaussianModel, obs) -> GaussianSmoothing
     covariances to stay invertible along the path.
     """
     n = obs.n_steps
-    d, m = model.dim, model.n_channels
-    f, qd, xf, pf, xp, pp, y, r = _discrete_kalman(model, obs)
+    d = model.dim
+    f, qd, xf, pf, pp, y, r = _discrete_kalman(model, obs)
     h = model.h_mat
     ri = np.linalg.inv(r)
     lam = np.zeros((n + 1, d, d))
-    eta = np.zeros((n + 1, d))
+    pulls_t = np.empty((n, d, d))
     eye = np.eye(d)
     for k in range(n - 1, -1, -1):
         lam_meas = lam[k + 1] + h @ ri @ h.T
-        eta_meas = eta[k + 1] + h @ ri @ y[k]
         pull = np.linalg.solve((eye + lam_meas @ qd).T, f).T
+        pulls_t[k] = pull.T
         lam[k] = symmetrize(pull @ lam_meas @ f)
-        eta[k] = pull @ eta_meas
-    xs = np.empty_like(xf)
-    ps = np.empty_like(pf)
-    for k in range(n + 1):
-        lam_f = np.linalg.eigvalsh(symmetrize(pf[k])).min()
-        if lam_f < 1e-10:
-            raise NumericalFailure("filter covariance numerically singular", step=k)
-        pfi = np.linalg.inv(pf[k])
-        info = pfi + lam[k]
-        ps[k] = symmetrize(np.linalg.inv(info))
-        xs[k] = ps[k] @ (pfi @ xf[k] + eta[k])
+    # eta_k = pull_k (eta_{k+1} + H R^{-1} y_k), backward from eta_n = 0
+    forcing = np.einsum("kd,kde->ke", y @ (h @ ri).T, pulls_t)
+    eta = affine_scan(pulls_t[::-1], forcing[::-1], np.zeros(d))[::-1]
+    lam_f = np.linalg.eigvalsh(pf).min(axis=1)
+    bad = np.flatnonzero(lam_f < 1e-10)
+    if bad.size:
+        raise NumericalFailure("filter covariance numerically singular", step=int(bad[0]))
+    pfi = np.linalg.inv(pf)
+    ps = symmetrize(np.linalg.inv(pfi + lam))
+    xs = (ps @ (pfi @ xf[:, :, None] + eta[:, :, None]))[:, :, 0]
     return GaussianSmoothingPath(dt=obs.dt, smoothed_means=xs, filter_means=xf,
                                  smoothed_covs=ps, filter_covs=pf)
 
@@ -289,40 +302,39 @@ def minimum_energy_trajectory(model: LinearGaussianModel, obs) -> EnergyTrajecto
 def reintegrate(model: LinearGaussianModel, x0: Array, controls: Array, dt: float) -> Array:
     """Integrate ``dx/dt = A^T x + sigma u`` with half-grid control samples.
 
+    Each RK4 step of ``dt / 2``, with the drive ``g`` at the step's start,
+    midpoint (the average of the node controls) and end, is exactly the
+    affine map ``x' = x M + g_0 P_0 + g_1 P_1 + g_2 P_2``; one RK4 step on the
+    stacked identity ``[I; 0; 0; 0]``, with the unit forcing of stage ``s``
+    in block ``s + 1``, returns ``[M; P_0; P_1; P_2]``.
+
     Used both to validate trajectory/control consistency and to build
     perturbed-but-feasible candidates for the cost inequality.
     """
     a, sig = model.a_mat, model.sigma
-    drive = np.empty((2 * controls.shape[0] - 1, sig.shape[0]))
-    drive[::2] = controls @ sig.T                         # node controls
-    drive[1::2] = 0.5 * (drive[:-2:2] + drive[2::2])      # midpoint averages
-    return rk4(lambda x, k, s: a.T @ x + drive[2 * k + s], x0, controls.shape[0] - 1, dt / 2.0)
+    d = a.shape[0]
+    coef = rk4(lambda x, k, s: x @ a + np.eye(4 * d, d, -d * (s + 1)), np.eye(4 * d, d), 1, dt / 2.0)
+    m, p0, p1, p2 = coef[1].reshape(4, d, d)
+    drive = controls @ sig.T                               # node controls
+    forcing = drive[:-1] @ p0 + (0.5 * (drive[:-1] + drive[1:])) @ p1 + drive[1:] @ p2
+    return affine_scan(m, forcing, x0)
 
 
-def min_energy_cost(
-    model: LinearGaussianModel,
-    trajectory: EnergyTrajectory,
-    controls: Array | None = None,
-    obs=None,
-    consistency_tol: float = 1e-8,
-) -> float:
+def min_energy_cost(model: LinearGaussianModel, trajectory: EnergyTrajectory, obs) -> float:
     """Minimum-energy objective of a (trajectory, control) pair.
 
     ``J = (x_0 - m_0)^T Sigma_0^{-1} (x_0 - m_0)
     + int |u|^2 + |zdot - H^T x|^2 dt`` with ``zdot = dZ/dt`` and per-step
     Simpson quadrature on the half grid.  The trajectory must satisfy the
-    controlled dynamics to within ``consistency_tol`` (checked by
+    controlled dynamics to within ``CONSISTENCY_TOL`` (checked by
     re-integration), otherwise the pair is rejected.
     """
-    if obs is None:
-        raise ValueError("an observation path is required to evaluate the cost")
-    u = trajectory.controls if controls is None else np.asarray(controls, dtype=float)
-    x = trajectory.states
+    u, x = trajectory.controls, trajectory.states
     if u.shape[0] != x.shape[0]:
         raise ValueError("controls and states must share the half grid")
     replay = reintegrate(model, x[0], u, trajectory.dt)
     residual = float(np.abs(replay - x).max())
-    if residual > consistency_tol:
+    if residual > CONSISTENCY_TOL:
         raise ValueError(f"trajectory is inconsistent with the dynamics (residual {residual:g})")
     dev = x[0] - model.mean0
     cost = float(dev @ np.linalg.solve(model.cov0, dev))

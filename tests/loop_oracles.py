@@ -1,10 +1,10 @@
 """Per-step reference loops for the finite-state filters, the Zakai
-operator, the smoother, the dual half-grid solve and the Monte-Carlo
-path sampler.
+operator, the smoother, the dual backward solve, the Monte-Carlo path
+sampler and the linear-Gaussian means.
 
 Each function is the plain one-step-at-a-time recursion that the chunked
-forward kernel of ``dualfilter.filters`` (or, for the half grid,
-``dualfilter.duality.backward_dual_ode``; for the sampler,
+forward kernel of ``dualfilter.filters`` (for the dual solve and the
+linear-Gaussian means, ``dualfilter._linalg.affine_scan``; for the sampler,
 ``dualfilter.sim.batch_hmm_observations``) replaces.  They are slow (Python
 runs once per step, jump or path) and exist only as test oracles.
 """
@@ -12,12 +12,13 @@ runs once per step, jump or path) and exist only as test oracles.
 import numpy as np
 from scipy.special import logsumexp
 
-from dualfilter._linalg import cached_expm, drift_step
+from dualfilter._linalg import cached_expm, drift_step, rk4, symmetrize, van_loan_discretization
 from dualfilter._rng import path_rng
-from dualfilter.filters import MASS_FLOOR, BeliefPath, UnnormalizedPath, ZakaiOperatorPath
+from dualfilter.filters import (MASS_FLOOR, BeliefPath, GaussianBeliefPath, UnnormalizedPath,
+                                ZakaiOperatorPath, _check_psd, _rk4_riccati, chain_riccati)
 from dualfilter.models import NumericalFailure, as_simplex
-from dualfilter.sim import ABSORBING_RATE, n_steps_for
-from dualfilter.smoothing import SmoothingPath
+from dualfilter.sim import ABSORBING_RATE, ObservationPath, n_steps_for
+from dualfilter.smoothing import GaussianSmoothingPath, SmoothingPath
 
 
 def wonham_loop(model, prior, obs) -> BeliefPath:
@@ -100,6 +101,20 @@ def zakai_operator_loop(model, obs) -> ZakaiOperatorPath:
         psi[k + 1] = cur
         log_scale[k + 1] = scale
     return ZakaiOperatorPath(dt=obs.dt, psi=psi, log_scale=log_scale)
+
+
+def backward_dual_loop(model, f, u, dt):
+    """``-dy/dt = A y + H u`` backward from ``y(T) = f``, one exact step per row of ``u``."""
+    a = model.rate.entries
+    h = model.obs.entries
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    n = u.shape[0]
+    f_step, f_int = drift_step(a, dt)
+    y = np.empty((n + 1, model.dim))
+    y[n] = np.asarray(f, dtype=float)
+    for k in range(n - 1, -1, -1):
+        y[k] = f_step @ y[k + 1] + f_int @ (h @ u[k])
+    return y
 
 
 def backward_dual_half_grid_loop(model, f, u, dt):
@@ -201,3 +216,130 @@ def batch_hmm_loop(model, horizon, dt, n_paths, seed, measure="P"):
         cum = occupation_loop(jump_times, states, horizon, model.obs.entries, grid)
         incs[k] = np.diff(cum, axis=0) + noise
     return paths, incs
+
+
+# -- linear-Gaussian means ------------------------------------------------------
+
+def kalman_bucy_loop(model, obs) -> GaussianBeliefPath:
+    n, dt = obs.n_steps, obs.dt
+    covs = _rk4_riccati(model, model.cov0, n, dt)
+    _check_psd(covs)
+    means = np.empty((n + 1, model.dim))
+    means[0] = model.mean0
+    a, h = model.a_mat, model.h_mat
+    for k in range(n):
+        m = means[k]
+        means[k + 1] = m + a.T @ m * dt + covs[k] @ h @ (obs.increments[k] - h.T @ m * dt)
+    return GaussianBeliefPath(dt=dt, means=means, covs=covs)
+
+
+def chain_kalman_loop(model, increments, dt):
+    """Estimates (n_paths, n + 1, d) and covariances of the chain Kalman filter."""
+    n_paths, n, _ = increments.shape
+    covs, _ = chain_riccati(model, n, dt)
+    _check_psd(covs)
+    h = model.obs.entries
+    gains = covs @ h
+    trans_t = cached_expm(model.rate.entries.T, dt).T
+    est = np.empty((n_paths, n + 1, model.dim))
+    est[:, 0] = x = model.prior.entries
+    for k in range(n):
+        x = (x @ trans_t) + (increments[:, k] - (x @ h) * dt) @ gains[k].T
+        est[:, k + 1] = x
+    return est, covs
+
+
+def discrete_kalman_loop(model, obs):
+    n, dt = obs.n_steps, obs.dt
+    d, m = model.dim, model.n_channels
+    f, qd = van_loan_discretization(model.a_mat.T, model.noise_cov, dt)
+    h = model.h_mat
+    r = np.eye(m) / dt
+    xf = np.empty((n + 1, d)); pf = np.empty((n + 1, d, d))
+    xp = np.empty((n + 1, d)); pp = np.empty((n + 1, d, d))
+    xf[0], pf[0] = model.mean0, symmetrize(model.cov0)
+    y = obs.increments / dt
+    for k in range(1, n + 1):
+        xp[k] = f @ xf[k - 1]
+        pp[k] = symmetrize(f @ pf[k - 1] @ f.T + qd)
+        s = h.T @ pp[k] @ h + r
+        cond = np.linalg.cond(s)
+        if not np.isfinite(cond) or cond > 1e12:
+            raise NumericalFailure("innovation covariance ill-conditioned", step=k)
+        gain = np.linalg.solve(s.T, (pp[k] @ h).T).T
+        xf[k] = xp[k] + gain @ (y[k - 1] - h.T @ xp[k])
+        pf[k] = symmetrize((np.eye(d) - gain @ h.T) @ pp[k])
+    return f, qd, xf, pf, xp, pp, y, r
+
+
+def rts_loop(model, obs) -> GaussianSmoothingPath:
+    n = obs.n_steps
+    f, qd, xf, pf, xp, pp, _, _ = discrete_kalman_loop(model, obs)
+    xs = xf.copy()
+    ps = pf.copy()
+    for k in range(n - 1, -1, -1):
+        cond = np.linalg.cond(pp[k + 1])
+        if not np.isfinite(cond) or cond > 1e12:
+            raise NumericalFailure("predicted covariance ill-conditioned", step=k)
+        gain = np.linalg.solve(pp[k + 1].T, (pf[k] @ f.T).T).T
+        xs[k] = xf[k] + gain @ (xs[k + 1] - xp[k + 1])
+        ps[k] = symmetrize(pf[k] + gain @ (ps[k + 1] - pp[k + 1]) @ gain.T)
+    return GaussianSmoothingPath(dt=obs.dt, smoothed_means=xs, filter_means=xf,
+                                 smoothed_covs=ps, filter_covs=pf)
+
+
+def fraser_potter_loop(model, obs) -> GaussianSmoothingPath:
+    n = obs.n_steps
+    d, m = model.dim, model.n_channels
+    f, qd, xf, pf, xp, pp, y, r = discrete_kalman_loop(model, obs)
+    h = model.h_mat
+    ri = np.linalg.inv(r)
+    lam = np.zeros((n + 1, d, d))
+    eta = np.zeros((n + 1, d))
+    eye = np.eye(d)
+    for k in range(n - 1, -1, -1):
+        lam_meas = lam[k + 1] + h @ ri @ h.T
+        eta_meas = eta[k + 1] + h @ ri @ y[k]
+        pull = np.linalg.solve((eye + lam_meas @ qd).T, f).T
+        lam[k] = symmetrize(pull @ lam_meas @ f)
+        eta[k] = pull @ eta_meas
+    xs = np.empty_like(xf)
+    ps = np.empty_like(pf)
+    for k in range(n + 1):
+        lam_f = np.linalg.eigvalsh(symmetrize(pf[k])).min()
+        if lam_f < 1e-10:
+            raise NumericalFailure("filter covariance numerically singular", step=k)
+        pfi = np.linalg.inv(pf[k])
+        info = pfi + lam[k]
+        ps[k] = symmetrize(np.linalg.inv(info))
+        xs[k] = ps[k] @ (pfi @ xf[k] + eta[k])
+    return GaussianSmoothingPath(dt=obs.dt, smoothed_means=xs, filter_means=xf,
+                                 smoothed_covs=ps, filter_covs=pf)
+
+
+def simulate_linear_gaussian_loop(model, horizon, dt, seed, path_index=0):
+    """Euler-Maruyama path with one normal draw per channel block and step."""
+    n = n_steps_for(horizon, dt)
+    rng = path_rng(seed, path_index)
+    d, m = model.dim, model.n_channels
+    p = model.sigma.shape[1]
+    x = np.zeros((n + 1, d))
+    c0 = (model.cov0 + model.cov0.T) / 2
+    lam, vec = np.linalg.eigh(c0)
+    x[0] = model.mean0 + vec @ (np.sqrt(np.clip(lam, 0.0, None)) * rng.standard_normal(d))
+    dz = np.zeros((n, m))
+    sq = np.sqrt(dt)
+    for k in range(n):
+        dz[k] = model.h_mat.T @ x[k] * dt + sq * rng.standard_normal(m)
+        x[k + 1] = x[k] + model.a_mat.T @ x[k] * dt + model.sigma @ (sq * rng.standard_normal(p))
+    return x, ObservationPath(dt=float(dt), increments=dz)
+
+
+def reintegrate_rk4(model, x0, controls, dt):
+    """``dx/dt = A^T x + sigma u`` by RK4 on the half grid, the drive
+    averaged at the quarter points."""
+    a, sig = model.a_mat, model.sigma
+    drive = np.empty((2 * controls.shape[0] - 1, sig.shape[0]))
+    drive[::2] = controls @ sig.T                         # node controls
+    drive[1::2] = 0.5 * (drive[:-2:2] + drive[2::2])      # midpoint averages
+    return rk4(lambda x, k, s: a.T @ x + drive[2 * k + s], x0, controls.shape[0] - 1, dt / 2.0)

@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from conftest import bounded_vectors, make_hmm, rate_matrices
 from dualfilter.catalog import counter_example
@@ -113,6 +116,28 @@ class TestErgodicClasses:
                 assert union.isdisjoint(cls)
                 union |= cls
             assert union == set(range(d))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda d: st.lists(
+        st.sampled_from([0.0, 0.0, 0.0, 0.0, 1e-13, 0.3, 2.0]), min_size=d * d, max_size=d * d)))
+    def test_matches_scipy_strong_components(self, entries):
+        # sparse random graphs: several classes, transient states and
+        # sub-threshold rates (1e-13 is no edge)
+        d = int(round(len(entries) ** 0.5))
+        off = np.array(entries).reshape(d, d)
+        np.fill_diagonal(off, 0.0)
+        a = off - np.diag(off.sum(axis=1))
+        n_comp, labels = connected_components(csr_matrix(a > 1e-12), directed=True,
+                                              connection="strong")
+        closed, transient = [], set()
+        for c in range(n_comp):
+            idx = np.flatnonzero(labels == c)
+            outside = np.setdiff1d(np.arange(d), idx)
+            if a[np.ix_(idx, outside)].max(initial=0.0) > 1e-12:
+                transient.update(idx.tolist())
+            else:
+                closed.append(frozenset(idx.tolist()))
+        assert ergodic_classes(RateMatrix(a)) == (sorted(closed, key=min), frozenset(transient))
 
 
 class TestInvariantMeasure:

@@ -1,11 +1,17 @@
-"""The shared ODE and quadrature layer: ``rk4``, ``simpson``, ``riccati_rhs``."""
+"""The shared ODE and quadrature layer: ``rk4``, ``affine_scan``, ``simpson``,
+``riccati_rhs``."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from dualfilter._linalg import rk4, simpson
+from dualfilter._linalg import affine_scan, rk4, simpson
 from dualfilter.filters import riccati_rhs
+from dualfilter.models import LinearGaussianModel
+from dualfilter.smoothing import reintegrate
+from loop_oracles import reintegrate_rk4
 
 
 @pytest.fixture
@@ -68,6 +74,54 @@ class TestRk4:
         ys = rk4(lambda y, k, s: forcing[2 * k + s], 1.0, n, -h)[::-1]
         t = np.arange(n + 1) * h
         assert np.abs(ys - (1.0 + t**3 - t[-1] ** 3)).max() <= 1e-13
+
+
+def hand_scan(m_of, b, x0):
+    xs = [np.asarray(x0, dtype=float)]
+    for k in range(len(b)):
+        xs.append(xs[-1] @ m_of(k) + b[k])
+    return np.array(xs)
+
+
+class TestAffineScan:
+    def test_constant_matrix(self, m_mat):
+        rng = np.random.default_rng(1)
+        b, x0 = rng.standard_normal((30, 3)), rng.standard_normal(3)
+        assert np.array_equal(affine_scan(m_mat, b, x0), hand_scan(lambda k: m_mat, b, x0))
+
+    def test_one_matrix_per_step(self):
+        rng = np.random.default_rng(2)
+        m, b, x0 = rng.standard_normal((25, 2, 2)), rng.standard_normal((25, 2)), rng.standard_normal(2)
+        assert np.array_equal(affine_scan(m, b, x0), hand_scan(lambda k: m[k], b, x0))
+
+    def test_batch_axes_run_side_by_side(self, m_mat):
+        rng = np.random.default_rng(3)
+        b, x0 = rng.standard_normal((12, 4, 5, 3)), rng.standard_normal((4, 5, 3))
+        xs = affine_scan(m_mat, b, x0)
+        assert xs.shape == (13, 4, 5, 3)
+        for i in range(4):
+            for j in range(5):
+                ref = hand_scan(lambda k: m_mat, b[:, i, j], x0[i, j])
+                assert np.abs(xs[:, i, j] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_no_steps_returns_the_start(self, m_mat):
+        xs = affine_scan(m_mat, np.zeros((0, 2, 3)), np.ones((2, 3)))
+        assert xs.shape == (1, 2, 3) and np.array_equal(xs[0], np.ones((2, 3)))
+        assert affine_scan(np.zeros((0, 3, 3)), np.zeros((0, 3)), np.ones(3)).shape == (1, 3)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3))
+def test_affine_reintegrate_is_rk4(seed, d, p):
+    # RK4 on a linear ODE is an affine map; its coefficients reproduce the
+    # stage-by-stage integration up to roundoff
+    rng = np.random.default_rng(seed)
+    model = LinearGaussianModel(rng.standard_normal((d, d)) - np.eye(d), np.ones((d, 1)),
+                                rng.standard_normal((d, p)), np.zeros(d), np.eye(d))
+    controls = rng.standard_normal((2 * 150 + 1, p))
+    x0 = rng.standard_normal(d)
+    ref = reintegrate_rk4(model, x0, controls, 1e-3)
+    assert np.abs(reintegrate(model, x0, controls, 1e-3) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestSimpson:
