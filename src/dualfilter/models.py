@@ -262,7 +262,7 @@ def ergodic_classes(rate: RateMatrix) -> tuple[list[frozenset[int]], frozenset[i
     classes and the transient set partition ``{0, .., d-1}``.
     """
     reach = (rate.entries > RATE_EPS) | np.eye(rate.dim, dtype=bool)
-    for _ in range((rate.dim - 1).bit_length()):          # then paths of up to d - 1 edges
+    for _ in range((rate.dim - 1).bit_length()):          # p squarings: paths of 2^p >= d - 1 edges
         reach = reach @ reach
     same = reach & reach.T                                # i and j communicate
     closed: list[frozenset[int]] = []

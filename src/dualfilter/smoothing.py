@@ -138,7 +138,7 @@ def _discrete_kalman(model: LinearGaussianModel, obs):
     h = model.h_mat
     r = np.eye(m) / dt
     pf = np.empty((n + 1, d, d)); pp = np.empty((n + 1, d, d))
-    gains = np.empty((n, d, m))
+    gains_t = np.empty((n, m, d))                         # G_k^T
     pf[0] = symmetrize(model.cov0)
     y = obs.increments / dt
     for k in range(1, n + 1):
@@ -147,9 +147,8 @@ def _discrete_kalman(model: LinearGaussianModel, obs):
         cond = np.linalg.cond(s)
         if not np.isfinite(cond) or cond > 1e12:
             raise NumericalFailure("innovation covariance ill-conditioned", step=k)
-        gains[k - 1] = gain = np.linalg.solve(s.T, (pp[k] @ h).T).T
-        pf[k] = symmetrize((np.eye(d) - gain @ h.T) @ pp[k])
-    gains_t = gains.transpose(0, 2, 1)
+        gains_t[k - 1] = np.linalg.solve(s.T, (pp[k] @ h).T)
+        pf[k] = symmetrize((np.eye(d) - gains_t[k - 1].T @ h.T) @ pp[k])
     # x_f(k) = (I - G_k H^T) F x_f(k-1) + G_k y_{k-1}, in row form
     xf = affine_scan(f.T - (f.T @ h) @ gains_t, np.einsum("km,kmd->kd", y, gains_t), model.mean0)
     return f, qd, xf, pf, pp, y, r
