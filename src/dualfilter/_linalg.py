@@ -45,7 +45,7 @@ def numerical_rank(m: np.ndarray, threshold: float | None = None, rel_tol: float
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix of a stack."""
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def van_loan_discretization(a_t: np.ndarray, q: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:

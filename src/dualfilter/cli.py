@@ -33,7 +33,7 @@ from .filters import innovation_path, kalman_bucy, solve_are, zakai_filter
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, model_from_dict
 from .sim import (GRID_ALIGN_TOL, n_steps_for, observation_csv, simulate_hmm,
                   simulate_linear_gaussian, state_path_csv)
-from .smoothing import forward_backward_smoother, fraser_potter_smoother, rts_smoother
+from .smoothing import _discrete_kalman, _fraser_potter, _rts, forward_backward_smoother
 from .stability import (PriorPair, chi2_bound_check, ergodic_class_detection,
                         kl_supermartingale_check, pi_constant)
 
@@ -207,8 +207,8 @@ def _run_smooth(config: ExperimentConfig, model):
         values = {"terminal": sm.smoothed[-1]}
     else:
         _, obs = simulate_linear_gaussian(model, config.horizon, config.dt, config.seed)
-        r = rts_smoother(model, obs)
-        f = fraser_potter_smoother(model, obs)
+        kf = _discrete_kalman(model, obs)                 # one filter pass for both smoothers
+        r, f = _rts(kf, obs.dt), _fraser_potter(model, kf, obs.dt)
         gap = float(np.abs(r.smoothed_means - f.smoothed_means).max())
         checks.append(Check("two_filter_matches_rts", gap <= 1e-6, gap, 1e-6))
         files["smoothed.csv"] = r.csv()

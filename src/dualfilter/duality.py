@@ -325,32 +325,37 @@ def duality_check_mc(
 
 
 def _closed_loop_backward(a: Array, h: Array, weight: Array, sig_half: Array, f,
-                          dt: float) -> tuple[float, Array, Array]:
+                          dt: float) -> tuple[float, Array, Array, Array]:
     """Backward half of a dual LQ problem, shared by the linear-Gaussian and
     the chain versions.
 
     ``sig_half`` is the forward Riccati flow on the half grid (2 n + 1
     points) and ``weight`` its running weight on the quarter grid.  The
     closed loop ``-dy/dt = (A - H H^T Sigma) y`` runs backward from
-    ``y(T) = f`` jointly with ``Sigma``, so every RK4 stage sees a
-    consistent covariance while ``Sigma`` re-traces its forward flow.
-    Returns ``(cost, u, y)`` on the half grid, with ``u = -H^T Sigma y`` and
-    ``cost = y_0^T Sigma_0 y_0 + int |u|^2 + y^T Q y dt`` by Simpson's rule.
+    ``y(T) = f`` as ``y_j = y_{j+1} M_j`` (row form): one RK4 half step back
+    from every forward node at once, on ``[Sigma; I]``, gives all ``M_j``,
+    so ``Sigma`` never runs backward, where its flow is unstable.
+    Returns ``(cost, u, y, Sigma)`` on the step grid, with
+    ``u = -H^T Sigma y`` and ``cost = y_0^T Sigma_0 y_0 + int |u|^2 + y^T Q y dt``
+    by Simpson's rule on the half grid.
     """
-    n2 = sig_half.shape[0] - 1
-    back_weight = weight[::-1]
+    n2, d = sig_half.shape[0] - 1, a.shape[0]
+    # stage s of the half step back from node j + 1 reads quarter node 2 j + 2 - s
+    stage_weight = (weight[2::2], weight[1::2], weight[:-1:2])
 
-    def joint_rhs(v: Array, k: int, s: int) -> Array:
-        sig, y = v[:-1], v[-1]
-        return np.concatenate((riccati_rhs(a, h, back_weight[2 * k + s], sig),
-                               [h @ (h.T @ (sig @ y)) - a @ y]))
+    def rhs(v: Array, k: int, s: int) -> Array:
+        sig, ys = v[:, :d], v[:, d:]
+        return np.concatenate((riccati_rhs(a, h, stage_weight[s], sig),
+                               ys @ sig @ h @ h.T - ys @ a.T), axis=1)
 
-    back = rk4(joint_rhs, np.vstack((sig_half[-1], f)), n2, -dt / 2.0)[::-1]
-    sig, y = back[:, :-1], back[:, -1]
-    u = -np.einsum("km,jkl,jl->jm", h, sig, y)
+    maps = rk4(rhs, np.concatenate((sig_half[1:], np.broadcast_to(np.eye(d), (n2, d, d))), axis=1),
+               1, -dt / 2.0)[1, ::-1, d:]
+    y = affine_scan(maps, np.zeros((n2, d)), f)[::-1]
+    u = -np.einsum("km,jkl,jl->jm", h, sig_half, y)
     integrand = np.einsum("jm,jm->j", u, u) + np.einsum("jk,jkl,jl->j", y, weight[::2], y)
     cost = float(y[0] @ sig_half[0] @ y[0])
-    return cost + simpson(integrand[:-1:2], integrand[1::2], integrand[2::2], dt), u, y
+    cost += simpson(integrand[:-1:2], integrand[1::2], integrand[2::2], dt)
+    return cost, u[::2], y[::2], sig_half[::2]
 
 
 def dual_lq_linear_gaussian(model: LinearGaussianModel, f, horizon: float, dt: float = 1e-3):
@@ -367,12 +372,9 @@ def dual_lq_linear_gaussian(model: LinearGaussianModel, f, horizon: float, dt: f
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     n = n_steps_for(horizon, dt)
-    q = model.noise_cov
-    weight = np.broadcast_to(q, (4 * n + 1,) + q.shape)
-    sig_half = riccati_half_grid(model, model.cov0, n, dt)
-    cost, u, y = _closed_loop_backward(model.a_mat, model.h_mat, weight, sig_half,
-                                       np.asarray(f, dtype=float), dt)
-    return cost, u[::2], y[::2], sig_half[::2]
+    weight = np.broadcast_to(model.noise_cov, (4 * n + 1, model.dim, model.dim))
+    return _closed_loop_backward(model.a_mat, model.h_mat, weight,
+                                 riccati_half_grid(model, model.cov0, n, dt), f, dt)
 
 
 def dual_deterministic_markov(model: HmmModel, f, horizon: float, dt: float = 1e-3):
@@ -385,9 +387,7 @@ def dual_deterministic_markov(model: HmmModel, f, horizon: float, dt: float = 1e
     """
     n = n_steps_for(horizon, dt)
     sig_half, weight = chain_riccati(model, 2 * n, dt / 2.0)
-    cost, u, y = _closed_loop_backward(model.rate.entries, model.obs.entries, weight, sig_half,
-                                       np.asarray(f, dtype=float), dt)
-    return cost, u[::2], y[::2], sig_half[::2]
+    return _closed_loop_backward(model.rate.entries, model.obs.entries, weight, sig_half, f, dt)
 
 
 # -- binary-tree oracle for the stochastic dual system ------------------------

@@ -308,22 +308,25 @@ ARE_RESIDUAL_TOL = 1e-8
 
 def riccati_rhs(a: Array, h: Array, q: Array, sigma: Array) -> Array:
     """Riccati right-hand side ``A^T Sigma + Sigma A + Q - Sigma H H^T Sigma``
-    for a symmetric ``Sigma``.
+    for a symmetric ``Sigma``, or for each of a stack (..., d, d) of them.
 
     ``A`` is a linear model's ``a_mat`` with ``Q = sigma sigma^T``, or a
-    chain's rate matrix with the running weight ``Q = E[Q(X_t)]``.  Formed
-    as ``G + G^T`` with ``G = A^T Sigma + (Q - Sigma H (Sigma H)^T) / 2``, so
-    the output is exactly symmetric and so is every RK4 stage built from it.
+    chain's rate matrix with the running weight ``Q = E[Q(X_t)]`` (one
+    matrix, or one per member of the stack).  Formed as ``G + G^T`` with
+    ``G = A^T Sigma + (Q - Sigma H (Sigma H)^T) / 2``, so the output is
+    exactly symmetric and so is every RK4 stage built from it.
     """
     sh = sigma @ h
-    g = a.T @ sigma + 0.5 * (q - sh @ sh.T)
-    return g + g.T
+    g = a.T @ sigma + 0.5 * (q - sh @ sh.swapaxes(-1, -2))
+    return g + g.swapaxes(-1, -2)
 
 
 def _check_psd(covs: Array) -> None:
-    lam_min = np.linalg.eigvalsh(covs).min()
-    if lam_min < -1e-6:
-        raise NumericalFailure(f"covariance lost positive semidefiniteness ({lam_min:g})")
+    lam_min = np.linalg.eigvalsh(covs).min(axis=1)
+    bad = np.flatnonzero(lam_min < -1e-6)
+    if bad.size:
+        raise NumericalFailure(f"covariance lost positive semidefiniteness ({lam_min[bad[0]]:g})",
+                               step=int(bad[0]))
 
 
 def _rk4_riccati(model: LinearGaussianModel, sigma0: Array, n_steps: int, dt: float) -> Array:

@@ -14,16 +14,16 @@ ODEs driven by the increment ratio ``dZ/dt``.
 
 Every mean of the linear side is one affine recursion
 ``x_{k+1} = x_k M_k + b_k`` (:func:`~dualfilter._linalg.affine_scan`): the
-filtered means, the RTS sweep, the Fraser-Potter information vector and
-:func:`reintegrate`, whose RK4 step on a linear ODE is exactly such a map.
-The covariances do not depend on the record, and three discretizations of
-them remain, because each serves a different check:
+filtered means, the RTS sweep, the Fraser-Potter information vector, both
+minimum-energy passes and :func:`reintegrate` (an RK4 step of a linear ODE
+is exactly such a map).  The covariances do not depend on the record, and
+three discretizations of them remain, because each serves a different check:
 :func:`~dualfilter.filters.kalman_bucy` integrates the Riccati flow by RK4
 beside its Euler mean update in ``dZ``; :func:`_discrete_kalman` is the
 exact filter of the discretized model, on which RTS and Fraser-Potter must
-agree to roundoff; :func:`_forward_reference` solves the covariance jointly
-with the mean at fourth order on the half grid, which the minimum-energy
-backward pass must match.
+agree to roundoff; :func:`~dualfilter.filters.riccati_half_grid` integrates
+it forward on the half grid, and the minimum-energy passes start every RK4
+step from its nodes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from numpy.typing import NDArray
 
 from ._csv import csv_text, grid_rows
 from ._linalg import affine_scan, cached_expm, rk4, simpson, symmetrize, van_loan_discretization
-from .filters import _log_likelihoods, _scan, riccati_rhs
+from .filters import _log_likelihoods, _scan, riccati_half_grid, riccati_rhs
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, as_simplex
 
 Array = NDArray[np.float64]
@@ -130,7 +130,8 @@ def _discrete_kalman(model: LinearGaussianModel, obs):
     The state transition over a step is exact (Van Loan); the measurement at
     node ``k >= 1`` is ``dZ_{k-1}/dt``, a noisy reading of ``H^T x_k`` with
     noise covariance ``I/dt``.  The covariances and gains do not depend on
-    the record; the filtered means are one affine scan.
+    the record; the filtered means are one affine scan.  One check after
+    the loop names the first ill-conditioned innovation covariance.
     """
     n, dt = obs.n_steps, obs.dt
     d, m = model.dim, model.n_channels
@@ -139,16 +140,22 @@ def _discrete_kalman(model: LinearGaussianModel, obs):
     r = np.eye(m) / dt
     pf = np.empty((n + 1, d, d)); pp = np.empty((n + 1, d, d))
     gains_t = np.empty((n, m, d))                         # G_k^T
+    innov = np.empty((n, m, m))
     pf[0] = symmetrize(model.cov0)
     y = obs.increments / dt
-    for k in range(1, n + 1):
-        pp[k] = symmetrize(f @ pf[k - 1] @ f.T + qd)
-        s = h.T @ pp[k] @ h + r
-        cond = np.linalg.cond(s)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise NumericalFailure("innovation covariance ill-conditioned", step=k)
-        gains_t[k - 1] = np.linalg.solve(s.T, (pp[k] @ h).T)
-        pf[k] = symmetrize((np.eye(d) - gains_t[k - 1].T @ h.T) @ pp[k])
+    try:
+        with np.errstate(all="ignore"):                   # steps past a bad one may overflow
+            for k in range(1, n + 1):
+                pp[k] = symmetrize(f @ pf[k - 1] @ f.T + qd)
+                innov[k - 1] = h.T @ pp[k] @ h + r
+                gains_t[k - 1] = np.linalg.solve(innov[k - 1].T, (pp[k] @ h).T)
+                pf[k] = symmetrize((np.eye(d) - gains_t[k - 1].T @ h.T) @ pp[k])
+    except np.linalg.LinAlgError:                         # singular from step k on
+        innov[k - 1:] = 0.0
+    finite = np.isfinite(innov).all(axis=(1, 2))[:, None, None]
+    bad = np.flatnonzero(~(np.linalg.cond(np.where(finite, innov, 0.0)) <= 1e12))
+    if bad.size:                                          # a non-finite step counts as singular
+        raise NumericalFailure("innovation covariance ill-conditioned", step=int(bad[0]) + 1)
     # x_f(k) = (I - G_k H^T) F x_f(k-1) + G_k y_{k-1}, in row form
     xf = affine_scan(f.T - (f.T @ h) @ gains_t, np.einsum("km,kmd->kd", y, gains_t), model.mean0)
     return f, qd, xf, pf, pp, y, r
@@ -162,8 +169,12 @@ def rts_smoother(model: LinearGaussianModel, obs) -> GaussianSmoothingPath:
     recursion.  Exact for the discretized model, so it doubles as the oracle
     for the two-filter route.
     """
-    n = obs.n_steps
-    f, qd, xf, pf, pp, _, _ = _discrete_kalman(model, obs)
+    return _rts(_discrete_kalman(model, obs), obs.dt)
+
+
+def _rts(kf, dt: float) -> GaussianSmoothingPath:
+    """RTS sweep over a :func:`_discrete_kalman` result."""
+    f, _, xf, pf, pp, _, _ = kf
     cond = np.linalg.cond(pp[1:])
     bad = np.flatnonzero(~(np.isfinite(cond) & (cond <= 1e12)))
     if bad.size:                                          # the sweep meets the last one first
@@ -171,13 +182,13 @@ def rts_smoother(model: LinearGaussianModel, obs) -> GaussianSmoothingPath:
     # G_k^T = P_p(k+1)^{-T} (P_f(k) F^T)^T
     gains_t = np.linalg.solve(pp[1:].transpose(0, 2, 1), (pf[:-1] @ f.T).transpose(0, 2, 1))
     ps = pf.copy()
-    for k in range(n - 1, -1, -1):
+    for k in range(len(gains_t) - 1, -1, -1):
         gain = gains_t[k].T
         ps[k] = symmetrize(pf[k] + gain @ (ps[k + 1] - pp[k + 1]) @ gain.T)
     # backward: x_s(k) = x_s(k+1) G_k^T + x_f(k) - x_p(k+1) G_k^T, with x_p(k+1) = F x_f(k)
     forcing = xf[:-1] - np.einsum("kd,kde->ke", xf[:-1] @ f.T, gains_t)
     xs = affine_scan(gains_t[::-1], forcing[::-1], xf[-1])[::-1]
-    return GaussianSmoothingPath(dt=obs.dt, smoothed_means=xs, filter_means=xf,
+    return GaussianSmoothingPath(dt=dt, smoothed_means=xs, filter_means=xf,
                                  smoothed_covs=ps, filter_covs=pf)
 
 
@@ -191,9 +202,13 @@ def fraser_potter_smoother(model: LinearGaussianModel, obs) -> GaussianSmoothing
     state equals the filtered state by construction.  Requires the filter
     covariances to stay invertible along the path.
     """
-    n = obs.n_steps
-    d = model.dim
-    f, qd, xf, pf, pp, y, r = _discrete_kalman(model, obs)
+    return _fraser_potter(model, _discrete_kalman(model, obs), obs.dt)
+
+
+def _fraser_potter(model: LinearGaussianModel, kf, dt: float) -> GaussianSmoothingPath:
+    """Two-filter combination over a :func:`_discrete_kalman` result."""
+    f, qd, xf, pf, pp, y, r = kf
+    n, d = y.shape[0], model.dim
     h = model.h_mat
     ri = np.linalg.inv(r)
     lam = np.zeros((n + 1, d, d))
@@ -214,7 +229,7 @@ def fraser_potter_smoother(model: LinearGaussianModel, obs) -> GaussianSmoothing
     pfi = np.linalg.inv(pf)
     ps = symmetrize(np.linalg.inv(pfi + lam))
     xs = (ps @ (pfi @ xf[:, :, None] + eta[:, :, None]))[:, :, 0]
-    return GaussianSmoothingPath(dt=obs.dt, smoothed_means=xs, filter_means=xf,
+    return GaussianSmoothingPath(dt=dt, smoothed_means=xs, filter_means=xf,
                                  smoothed_covs=ps, filter_covs=pf)
 
 
@@ -246,26 +261,15 @@ def _zdot(obs) -> Array:
     return obs.increments / obs.dt
 
 
-def _reference_rhs(a: Array, h: Array, q: Array, v: Array, z: Array) -> Array:
-    """Time derivative of the stacked rows ``[Sigma; xhat]``: the Riccati flow
-    and the filter mean ``A^T xhat + Sigma H (zdot - H^T xhat)``."""
-    sig, xr = v[:-1], v[-1]
-    return np.concatenate((riccati_rhs(a, h, q, sig), [a.T @ xr + sig @ (h @ (z - h.T @ xr))]))
-
-
-def _forward_reference(model: LinearGaussianModel, obs) -> tuple[Array, Array]:
-    """Joint RK4 solve of the covariance flow and
-    ``dx/dt = A^T x + Sigma_t H (zdot - H^T x)`` on the half grid.
-
-    ``zdot`` is constant within each step and the covariance is advanced
-    inside the same RK4 stages, so no coefficient interpolation is needed
-    and the half-grid nodes are genuine fourth-order nodes.
-    """
-    a, h, q = model.a_mat, model.h_mat, model.noise_cov
-    zd = _zdot(obs)
-    v = rk4(lambda v, k, s: _reference_rhs(a, h, q, v, zd[k // 2]),
-            np.vstack((symmetrize(model.cov0), model.mean0)), 2 * obs.n_steps, obs.dt / 2.0)
-    return v[:, :-1], v[:, -1]
+def _filter_rhs(a: Array, h: Array, q: Array, v: Array, zd: Array) -> Array:
+    """Time derivative of stacks of rows ``[Sigma; x]``: the Riccati flow and,
+    in row form, ``dx/dt = A^T x + Sigma H (zdot - H^T x)`` with the forcing
+    ``zdot`` on the last row only."""
+    sig, rows = v[:, :a.shape[0]], v[:, a.shape[0]:]
+    gains_t = h.T @ sig                                   # (Sigma H)^T
+    out = rows @ a - rows @ h @ gains_t
+    out[:, -1] += np.einsum("jm,jmd->jd", zd, gains_t)
+    return np.concatenate((riccati_rhs(a, h, q, sig), out), axis=1)
 
 
 def minimum_energy_trajectory(model: LinearGaussianModel, obs) -> EnergyTrajectory:
@@ -273,27 +277,39 @@ def minimum_energy_trajectory(model: LinearGaussianModel, obs) -> EnergyTrajecto
 
     The forward pass is the filter mean equation with the increment ratio in
     place of the formal observation derivative; the backward pass integrates
-    ``dx/dt = A^T x + Q Sigma_t^{-1} (x - xhat)`` jointly with the
-    covariance and reference trajectory from the terminal filter state.
-    The associated control is ``u = sigma^T Sigma^{-1} (x - xhat)``; the
-    returned states are re-integrated from ``(x_0, u)`` so the pair passes
-    the dynamics-consistency check exactly.
+    ``dx/dt = A^T x + Q Sigma_t^{-1} (x - xhat)`` from the terminal filter
+    state.  The associated control is ``u = sigma^T Sigma^{-1} (x - xhat)``;
+    the returned states are re-integrated from ``(x_0, u)`` so the pair
+    passes the dynamics-consistency check exactly.
+
+    One RK4 step from every half-grid node of the forward Riccati flow, on
+    the rows ``[Sigma; I; 0]`` (backward ``[Sigma; xhat; I; 0]``), gives
+    each step's affine map ``[M; c]`` of the mean, which an affine scan
+    runs; Sigma is never integrated backward, where it is unstable.  A
+    singular Sigma raises, naming its first half-grid step.
     """
     n, dt = obs.n_steps, obs.dt
-    a, h, q, sig_m = model.a_mat, model.h_mat, model.noise_cov, model.sigma
-    sig_half, xh = _forward_reference(model, obs)
-    lam_min = np.linalg.eigvalsh(sig_half).min()
-    if lam_min < 1e-10:
-        raise NumericalFailure("covariance numerically singular along the path")
-    zd_back = _zdot(obs)[::-1]
+    a, h, q, d = model.a_mat, model.h_mat, model.noise_cov, model.dim
+    sig_half = riccati_half_grid(model, model.cov0, n, dt)
+    bad = np.flatnonzero(np.linalg.eigvalsh(sig_half).min(axis=1) < 1e-10)
+    if bad.size:
+        raise NumericalFailure("covariance numerically singular along the path", step=int(bad[0]))
+    zd = np.repeat(_zdot(obs), 2, axis=0)                  # half step j reads zdot[j // 2]
+    unit = np.broadcast_to(np.eye(d + 1, d), (2 * n, d + 1, d))
+    last = np.eye(d + 1, 1, -d)                           # selects the forcing row
 
-    def rhs(v: Array, k: int, s: int) -> Array:
-        sig, xr, xv = v[:-2], v[-2], v[-1]
-        return np.concatenate((_reference_rhs(a, h, q, v[:-1], zd_back[k // 2]),
-                               [a.T @ xv + q @ np.linalg.solve(sig, xv - xr)]))
+    def backward(v: Array, k: int, s: int) -> Array:
+        sig, xr, xs = v[:, :d], v[:, d:d + 1], v[:, d + 1:]
+        return np.concatenate((_filter_rhs(a, h, q, v[:, :d + 1], zd),
+                               xs @ a + (xs - last * xr) @ np.linalg.solve(sig, q)), axis=1)
 
-    x = rk4(rhs, np.vstack((sig_half[-1], xh[-1], xh[-1])), 2 * n, -dt / 2.0)[::-1, -1]
-    controls = np.linalg.solve(sig_half, (x - xh)[:, :, None])[:, :, 0] @ sig_m
+    fwd = rk4(lambda v, k, s: _filter_rhs(a, h, q, v, zd),
+              np.concatenate((sig_half[:-1], unit), axis=1), 1, dt / 2.0)[1, :, d:]
+    xh = affine_scan(fwd[:, :d], fwd[:, d], model.mean0)
+    bwd = rk4(backward, np.concatenate((sig_half[1:], xh[1:, None], unit), axis=1), 1,
+              -dt / 2.0)[1, ::-1, d + 1:]
+    x = affine_scan(bwd[:, :d], bwd[:, d], xh[-1])[::-1]
+    controls = np.linalg.solve(sig_half, (x - xh)[:, :, None])[:, :, 0] @ model.sigma
     states = reintegrate(model, x[0], controls, dt)
     return EnergyTrajectory(dt=dt, states=states, controls=controls, filter_means=xh)
 

@@ -21,6 +21,16 @@ def random_hmm(rng: np.random.Generator, d: int, m: int = 1, rate_scale: float =
     return make_hmm(a, h, prior)
 
 
+# the stable d=3, m=2 linear-Gaussian model of the benchmark's dual_ode workload
+LG3 = {
+    "a_mat": [[-1.0, 0.3, 0.0], [-0.2, -0.8, 0.1], [0.0, -0.1, -1.2]],
+    "h_mat": [[1.0, 0.0], [0.0, 0.5], [0.3, 1.0]],
+    "sigma": [[0.5, 0.0, 0.0], [0.0, 0.4, 0.0], [0.0, 0.0, 0.3]],
+    "mean0": [0.0, 0.0, 0.0],
+    "cov0": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

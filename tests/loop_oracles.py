@@ -1,24 +1,31 @@
 """Per-step reference loops for the finite-state filters, the Zakai
 operator, the smoother, the dual backward solve, the Monte-Carlo path
-sampler and the linear-Gaussian means.
+sampler, the linear-Gaussian means and the dual-LQ and minimum-energy
+backward passes.
 
 Each function is the plain one-step-at-a-time recursion that the chunked
-forward kernel of ``dualfilter.filters`` (for the dual solve and the
-linear-Gaussian means, ``dualfilter._linalg.affine_scan``; for the sampler,
-``dualfilter.sim.batch_hmm_observations``) replaces.  They are slow (Python
-runs once per step, jump or path) and exist only as test oracles.
+forward kernel of ``dualfilter.filters`` (for the dual solve, the
+linear-Gaussian means and the backward passes, ``dualfilter._linalg.affine_scan``;
+for the sampler, ``dualfilter.sim.batch_hmm_observations``) replaces.  They
+are slow (Python runs once per step, jump or path) and exist only as test
+oracles.  The backward-pass oracles integrate the covariance (and the
+filter mean) backward again beside the state, the joint RK4 solve that the
+affine passes replaced; that re-trace is unstable over long horizons.
 """
 
 import numpy as np
 from scipy.special import logsumexp
 
-from dualfilter._linalg import cached_expm, drift_step, rk4, symmetrize, van_loan_discretization
+from dualfilter._linalg import (cached_expm, drift_step, rk4, simpson, symmetrize,
+                                van_loan_discretization)
 from dualfilter._rng import path_rng
 from dualfilter.filters import (MASS_FLOOR, BeliefPath, GaussianBeliefPath, UnnormalizedPath,
-                                ZakaiOperatorPath, _check_psd, _rk4_riccati, chain_riccati)
+                                ZakaiOperatorPath, _check_psd, _rk4_riccati, chain_riccati,
+                                riccati_rhs)
 from dualfilter.models import NumericalFailure, as_simplex
 from dualfilter.sim import ABSORBING_RATE, ObservationPath, n_steps_for
-from dualfilter.smoothing import GaussianSmoothingPath, SmoothingPath
+from dualfilter.smoothing import (EnergyTrajectory, GaussianSmoothingPath, SmoothingPath,
+                                  reintegrate)
 
 
 def wonham_loop(model, prior, obs) -> BeliefPath:
@@ -343,3 +350,55 @@ def reintegrate_rk4(model, x0, controls, dt):
     drive[::2] = controls @ sig.T                         # node controls
     drive[1::2] = 0.5 * (drive[:-2:2] + drive[2::2])      # midpoint averages
     return rk4(lambda x, k, s: a.T @ x + drive[2 * k + s], x0, controls.shape[0] - 1, dt / 2.0)
+
+
+# -- dual-LQ and minimum-energy backward passes ------------------------------
+
+def closed_loop_backward_rk4(a, h, weight, sig_half, f, dt):
+    """``(cost, u, y)`` of the dual LQ backward pass on the half grid, with
+    ``Sigma`` integrated backward from ``sig_half[-1]`` jointly with ``y``."""
+    n2 = sig_half.shape[0] - 1
+    back_weight = weight[::-1]
+
+    def joint_rhs(v, k, s):
+        sig, y = v[:-1], v[-1]
+        return np.concatenate((riccati_rhs(a, h, back_weight[2 * k + s], sig),
+                               [h @ (h.T @ (sig @ y)) - a @ y]))
+
+    back = rk4(joint_rhs, np.vstack((sig_half[-1], f)), n2, -dt / 2.0)[::-1]
+    sig, y = back[:, :-1], back[:, -1]
+    u = -np.einsum("km,jkl,jl->jm", h, sig, y)
+    integrand = np.einsum("jm,jm->j", u, u) + np.einsum("jk,jkl,jl->j", y, weight[::2], y)
+    cost = float(y[0] @ sig_half[0] @ y[0])
+    return cost + simpson(integrand[:-1:2], integrand[1::2], integrand[2::2], dt), u, y
+
+
+def _reference_rhs(a, h, q, v, z):
+    """Time derivative of the stacked rows ``[Sigma; xhat]``."""
+    sig, xr = v[:-1], v[-1]
+    return np.concatenate((riccati_rhs(a, h, q, sig), [a.T @ xr + sig @ (h @ (z - h.T @ xr))]))
+
+
+def minimum_energy_rk4(model, obs):
+    """Minimum-energy trajectory with the covariance and the filter mean
+    solved jointly forward, then integrated backward again beside the state."""
+    n, dt = obs.n_steps, obs.dt
+    a, h, q, sig_m = model.a_mat, model.h_mat, model.noise_cov, model.sigma
+    zd = obs.increments / dt
+    v = rk4(lambda v, k, s: _reference_rhs(a, h, q, v, zd[k // 2]),
+            np.vstack((symmetrize(model.cov0), model.mean0)), 2 * n, dt / 2.0)
+    sig_half, xh = v[:, :-1], v[:, -1]
+    lam_min = np.linalg.eigvalsh(sig_half).min()
+    if lam_min < 1e-10:
+        raise NumericalFailure("covariance numerically singular along the path")
+    zd_back = zd[::-1]
+
+    def rhs(v, k, s):
+        sig, xr, xv = v[:-2], v[-2], v[-1]
+        return np.concatenate((_reference_rhs(a, h, q, v[:-1], zd_back[k // 2]),
+                               [a.T @ xv + q @ np.linalg.solve(sig, xv - xr)]))
+
+    x = rk4(rhs, np.vstack((sig_half[-1], xh[-1], xh[-1])), 2 * n, -dt / 2.0)[::-1, -1]
+    controls = np.linalg.solve(sig_half, (x - xh)[:, :, None])[:, :, 0] @ sig_m
+    states = reintegrate(model, x[0], controls, dt)
+    return EnergyTrajectory(dt=dt, states=states, controls=controls, filter_means=xh)

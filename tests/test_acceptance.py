@@ -24,9 +24,9 @@ from dualfilter.filters import (innovation_path, kalman_bucy, riccati_half_grid,
                                 wonham_filter, zakai_filter)
 from dualfilter.models import LinearGaussianModel
 from dualfilter.sim import ObservationPath, simulate_hmm, simulate_linear_gaussian
-from dualfilter.smoothing import (EnergyTrajectory, forward_backward_smoother,
-                                  fraser_potter_smoother, min_energy_cost,
-                                  minimum_energy_trajectory, reintegrate, rts_smoother)
+from dualfilter.smoothing import (EnergyTrajectory, _discrete_kalman, _fraser_potter, _rts,
+                                  forward_backward_smoother, min_energy_cost,
+                                  minimum_energy_trajectory, reintegrate)
 from dualfilter.stability import (PriorPair, chi2_bound_check, ergodic_class_detection,
                                   kl_supermartingale_check, log_slope, pi_constant,
                                   twin_filter_experiment)
@@ -199,8 +199,8 @@ def test_c09_fraser_potter_vs_rts_and_min_energy():
             0.5 * rng.standard_normal((d, d)) + 0.5 * np.eye(d),
             rng.standard_normal(d), np.eye(d) * rng.uniform(0.3, 1.0))
         _, obs = simulate_linear_gaussian(model, 1.0, 1e-3, seed=3000 + trial)
-        r = rts_smoother(model, obs)
-        fp = fraser_potter_smoother(model, obs)
+        kf = _discrete_kalman(model, obs)
+        r, fp = _rts(kf, obs.dt), _fraser_potter(model, kf, obs.dt)
         worst_gap = max(worst_gap, float(np.abs(r.smoothed_means - fp.smoothed_means).max()))
         tr = minimum_energy_trajectory(model, obs)
         j_opt = min_energy_cost(model, tr, obs=obs)

@@ -6,6 +6,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
+from conftest import LG3
 from dualfilter.cli import ExperimentConfig, main, run
 
 
@@ -136,6 +137,19 @@ class TestRun:
             assert res.exit_code == 0, res.output
             assert json.loads((out / "summary.json").read_text())["all_passed"]
             assert steps.pop() == step
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_kalman_long_horizon_exits_zero(self, runner, tmp_path):
+        # the dual LQ pass once integrated Sigma backward again, which drifted
+        # from the forward flow on this stable, detectable model until the
+        # dual_lq_matches_riccati check failed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema": 1, "model": LG3}))
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["kalman", "--config", str(cfg), "--horizon", "20",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert json.loads((out / "summary.json").read_text())["all_passed"]
 
     def test_gramian_failing_check_exits_one(self, runner, tmp_path):
         # 50 paths still resolve the rank; a relative cutoff of 0.1 drops the

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from scipy.linalg import expm
 
-from conftest import make_hmm, random_hmm, rate_matrices
+from conftest import LG3, make_hmm, random_hmm, rate_matrices
 from loop_oracles import backward_dual_half_grid_loop, zakai_operator_loop
 from dualfilter.catalog import counter_example, doeblin_demo, two_class_demo, two_state
 from dualfilter.duality import (Subspace, backward_dual_ode, bsde_tree_oracle,
@@ -16,7 +16,7 @@ from dualfilter.duality import (Subspace, backward_dual_ode, bsde_tree_oracle,
                                 dual_lq_linear_gaussian, duality_check_mc, gramian_mc,
                                 is_observable, is_stabilizable, lti_controllability)
 from dualfilter.filters import riccati_half_grid
-from dualfilter.models import LinearGaussianModel
+from dualfilter.models import LinearGaussianModel, model_from_dict
 from dualfilter.sim import ObservationPath, batch_hmm_observations
 
 
@@ -264,7 +264,16 @@ class TestGramian:
         assert peak < 16e6
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestDualLqLinearGaussian:
+    def test_long_horizon_cost_is_the_riccati_value(self):
+        # integrating Sigma backward again beside y drifted from the forward
+        # flow and overflowed to NaN on this model by T = 20
+        model = model_from_dict(LG3)
+        f = np.random.default_rng(0).standard_normal(3)
+        cost, _, _, sig = dual_lq_linear_gaussian(model, f, 20.0, 1e-3)
+        assert np.isfinite(cost) and abs(cost - f @ sig[-1] @ f) <= 1e-6
+
     def test_cost_equals_riccati_value(self, rng):
         for trial in range(10):
             d = int(rng.integers(1, 5))

@@ -12,8 +12,9 @@ from conftest import bounded_vectors, make_hmm, random_hmm, rate_matrices, simpl
 from loop_oracles import (forward_backward_loop, wonham_batch_loop, wonham_loop, zakai_loop,
                           zakai_operator_loop)
 from dualfilter.catalog import counter_example, scalar_lg, two_state
-from dualfilter.filters import (innovation_path, kalman_bucy, kf_markov_chain, solve_are,
-                                wonham_filter, wonham_filter_batch, zakai_filter, zakai_operator)
+from dualfilter.filters import (_rk4_riccati, innovation_path, kalman_bucy, kf_markov_chain,
+                                solve_are, wonham_filter, wonham_filter_batch, zakai_filter,
+                                zakai_operator)
 from dualfilter.models import LinearGaussianModel, NumericalFailure
 from dualfilter.sim import ObservationPath, simulate_hmm, simulate_linear_gaussian
 from dualfilter.smoothing import forward_backward_smoother
@@ -423,6 +424,18 @@ class TestKalmanBucy:
         m = LinearGaussianModel([[0.0]], [[1.0]], [[1.0]], [0.0], sig_inf)
         gp = kalman_bucy(m, zero_obs(1000, 1e-3))
         assert np.abs(gp.covs - sig_inf).max() <= 1e-8
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_psd_failure_names_its_first_step(self):
+        # dt = 1 is past RK4's stability limit for this flow: Sigma
+        # oscillates around its equilibrium with a growing swing
+        m = LinearGaussianModel([[2.0]], [[1.0]], [[1.0]], [0.0], [[0.1]])
+        covs = _rk4_riccati(m, m.cov0, 9, 1.0)[:, 0, 0]
+        first = next(k for k, c in enumerate(covs) if c < -1e-6)
+        assert first == 8 and covs[first - 1] > 0
+        with pytest.raises(NumericalFailure, match="step 8") as exc:
+            kalman_bucy(m, zero_obs(9, 1.0))
+        assert exc.value.step == first
 
     def test_dre_monotone_from_zero(self):
         rng = np.random.default_rng(8)

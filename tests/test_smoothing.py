@@ -5,10 +5,10 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import norm
 
-from conftest import make_hmm, random_hmm
+from conftest import LG3, make_hmm, random_hmm
 from dualfilter.catalog import counter_example, scalar_lg
-from dualfilter.filters import wonham_filter
-from dualfilter.models import LinearGaussianModel
+from dualfilter.filters import riccati_half_grid, wonham_filter
+from dualfilter.models import LinearGaussianModel, NumericalFailure
 from dualfilter.sim import ObservationPath, simulate_hmm, simulate_linear_gaussian
 from dualfilter.smoothing import (EnergyTrajectory, forward_backward_smoother,
                                   fraser_potter_smoother, min_energy_cost,
@@ -158,7 +158,32 @@ class TestLinearGaussianSmoothers:
         assert np.all(r.smoothed_covs[:, 0, 0] <= r.filter_covs[:, 0, 0] + 1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestMinimumEnergy:
+    def test_long_horizon_cost_equals_prediction_error(self):
+        # the benchmark model, ten times faster: re-tracing Sigma and the
+        # filter mean backward made Sigma singular before t = 0
+        model = LinearGaussianModel(10.0 * np.array(LG3["a_mat"]),
+                                    np.sqrt(10.0) * np.array(LG3["h_mat"]),
+                                    LG3["sigma"], LG3["mean0"], LG3["cov0"])
+        _, obs = simulate_linear_gaussian(model, 3.0, 1e-3, seed=1)
+        tr = minimum_energy_trajectory(model, obs)
+        j = min_energy_cost(model, tr, obs=obs)
+        target = prediction_error_integral(model, tr, obs)
+        assert np.all(np.isfinite(tr.states)) and abs(j - target) <= 1e-6 * abs(target)
+
+    def test_singular_covariance_names_its_half_grid_step(self):
+        # no process noise: Sigma decays like exp(-10 t) and passes below
+        # 1e-10 well inside the horizon
+        model = LinearGaussianModel([[-5.0]], [[1.0]], [[0.0]], [0.0], [[1.0]])
+        obs = ObservationPath(dt=0.01, increments=np.zeros((300, 1)))
+        sig = riccati_half_grid(model, model.cov0, 300, 0.01)[:, 0, 0]
+        first = next(j for j, s in enumerate(sig) if s < 1e-10)
+        assert 0 < first < 600
+        with pytest.raises(NumericalFailure, match="singular") as exc:
+            minimum_energy_trajectory(model, obs)
+        assert exc.value.step == first
+
     def test_optimal_cost_equals_prediction_error(self, rng):
         for trial in range(5):
             model = random_stable_lg(rng, int(rng.integers(1, 4)))
