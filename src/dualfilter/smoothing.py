@@ -152,9 +152,9 @@ def _discrete_kalman(model: LinearGaussianModel, obs):
                 pf[k] = symmetrize((np.eye(d) - gains_t[k - 1].T @ h.T) @ pp[k])
     except np.linalg.LinAlgError:                         # singular from step k on
         innov[k - 1:] = 0.0
-    finite = np.isfinite(innov).all(axis=(1, 2))[:, None, None]
+    finite = np.isfinite(innov).all(axis=(1, 2))[:, None, None]   # non-finite counts as singular
     bad = np.flatnonzero(~(np.linalg.cond(np.where(finite, innov, 0.0)) <= 1e12))
-    if bad.size:                                          # a non-finite step counts as singular
+    if bad.size:
         raise NumericalFailure("innovation covariance ill-conditioned", step=int(bad[0]) + 1)
     # x_f(k) = (I - G_k H^T) F x_f(k-1) + G_k y_{k-1}, in row form
     xf = affine_scan(f.T - (f.T @ h) @ gains_t, np.einsum("km,kmd->kd", y, gains_t), model.mean0)
