@@ -5,18 +5,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-_transition_cache: dict[tuple[bytes, tuple[int, ...], float], np.ndarray] = {}
-
-
-def cached_expm(a: np.ndarray, t: float) -> np.ndarray:
-    """``expm(a * t)``, memoized; the same matrix is reused every filter step."""
-    key = (a.tobytes(), a.shape, float(t))
-    out = _transition_cache.get(key)
-    if out is None:
-        out = expm(np.asarray(a, dtype=float) * t)
-        _transition_cache[key] = out
-    return out
-
 
 def orth_basis(vectors: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis (columns) of the span of the given column vectors.

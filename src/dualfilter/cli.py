@@ -34,7 +34,7 @@ from .models import HmmModel, LinearGaussianModel, NumericalFailure, model_from_
 from .sim import (GRID_ALIGN_TOL, n_steps_for, observation_csv, simulate_hmm,
                   simulate_linear_gaussian, state_path_csv)
 from .smoothing import _discrete_kalman, _fraser_potter, _rts, forward_backward_smoother
-from .stability import (PriorPair, chi2_bound_check, ergodic_class_detection,
+from .stability import (DECOMPOSITION_TOL, PriorPair, chi2_bound_check, ergodic_class_detection,
                         kl_supermartingale_check, pi_constant)
 
 SCHEMA_VERSION = 1
@@ -300,12 +300,11 @@ def _run_stability(config: ExperimentConfig, model):
         values["brute_force_constant"] = brute.value
         c_rate = closed.value
     else:
-        c_rate = doeblin.value if config.c is None else config.c
+        c_rate = doeblin.value
     if config.c is not None:
         c_rate = config.c
     values["c"] = c_rate
 
-    rng = np.random.default_rng(config.seed)
     nu = np.full(d, 1.0 / d)
     mu = nu * (1.0 + 0.5 * np.linspace(1, -1, d))
     mu = mu / mu.sum()
@@ -336,7 +335,8 @@ def _run_detect_classes(config: ExperimentConfig, model):
     nu = np.full(d, 1.0 / d)
     pair = PriorPair.of(model.prior.entries, nu)
     rep = ergodic_class_detection(model, pair, config.horizon, config.dt, config.n_paths, config.seed)
-    checks = [Check("decomposition_identity", rep["decomposition_ok"], rep["decomposition_gap"], 1e-8)]
+    checks = [Check("decomposition_identity", rep["decomposition_ok"], rep["decomposition_gap"],
+                    DECOMPOSITION_TOL)]
     rows = ([k + 1, "|".join(str(s) for s in cls), float(rep["detection_error"][k]),
              float(rep["detection_stderr"][k])] for k, cls in enumerate(rep["classes"]))
     return checks, rep, {"detection.csv": csv_text("class,states,detection_error,stderr", rows)}

@@ -27,11 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg import expm
 
-from ._linalg import affine_scan, cached_expm, drift_step, numerical_rank, orth_basis, rk4, simpson
-from .filters import (BATCH_BLOCK, _advance, _log_likelihoods, chain_riccati, prior_flow,
-                      riccati_half_grid, riccati_rhs)
-from .models import HmmModel, LinearGaussianModel, NumericalFailure, as_simplex
+from ._linalg import affine_scan, drift_step, numerical_rank, orth_basis, rk4, simpson
+from .filters import (chain_riccati, prior_flow, riccati_half_grid, riccati_rhs,
+                      zakai_operator_blocks)
+from .models import HmmModel, LinearGaussianModel, as_simplex
 from .sim import batch_hmm_observations, n_steps_for
 
 Array = NDArray[np.float64]
@@ -199,10 +200,10 @@ def gramian_mc(model: HmmModel, horizon: float, dt: float, n_paths: int, seed) -
     Observations are simulated under the reference measure (pure Brownian
     motion); each path accumulates
     ``11^T + sum_k Psi_k^T H H^T Psi_k dt`` with the Zakai solution operator
-    from the shared splitting scheme.  The ``d`` columns of every path's
-    operator run as rows of the forward kernel ``BATCH_BLOCK`` steps at a
-    time, and each block's terms are summed before the next one is formed,
-    so memory is O(paths d^2) beside the increments.  Returns the sample
+    from the shared splitting scheme.  The operators of all paths come from
+    :func:`~dualfilter.filters.zakai_operator_blocks`, and each block's
+    terms are summed before the next one is formed, so memory is
+    O(paths d^2) beside the increments.  Returns the sample
     mean and the entrywise standard error; a column whose mass underflows
     (see :class:`~dualfilter.filters.ZakaiOperatorPath`) raises
     :class:`~dualfilter.models.NumericalFailure` naming its step and path.
@@ -210,28 +211,13 @@ def gramian_mc(model: HmmModel, horizon: float, dt: float, n_paths: int, seed) -
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     d = model.dim
-    h = model.obs.entries
     _, incs = batch_hmm_observations(model, horizon, dt, n_paths, seed, measure="P_tilde")
-    step = cached_expm(model.rate.entries.T, dt).T
     samples = np.ones((n_paths, d, d))
-    x = np.tile(np.eye(d), (n_paths, 1))              # row p d + j: column j of path p
-    log_scale = np.zeros(n_paths * d)
-    for b in range(0, incs.shape[1], BATCH_BLOCK):
-        log_like = _log_likelihoods(h, incs[:, b:b + BATCH_BLOCK], dt)
-        c = log_like.shape[1]
-        peak = log_like.max(axis=2)
-        rows, logs = np.empty((n_paths * d, c + 1, d)), np.empty((n_paths * d, c + 1))
-        rows[:, 0], logs[:, 0] = x, log_scale
-        try:
-            x = _advance(step, np.repeat(np.exp(log_like - peak[..., None]), d, axis=0), x,
-                         rows[:, 1:], logs[:, 1:], first=b)
-        except NumericalFailure as exc:
-            raise NumericalFailure(exc.reason, exc.step, exc.path // d) from None
-        logs[:, 1:] = np.log(logs[:, 1:]) + np.repeat(peak, d, axis=0)
-        np.cumsum(logs, axis=1, out=logs)
-        log_scale = logs[:, c]
-        g = ((rows[:, :c] @ h) * np.exp(logs[:, :c, None])).reshape(n_paths, d, -1)
+    for cols, logs in zakai_operator_blocks(model, incs, dt):    # left points of each block
+        g = cols[:, :, :-1] @ model.obs.entries * np.exp(logs[:, :, :-1, None])
+        g = g.reshape(n_paths, d, -1)
         samples += dt * (g @ g.transpose(0, 2, 1))
+        del cols, logs                                # free this block before the next is formed
     mean = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / np.sqrt(n_paths)
     return GramianEstimate(mean=mean, stderr=stderr, n_paths=n_paths)
@@ -429,7 +415,7 @@ def bsde_tree_oracle(model: HmmModel, f, n_steps: int, dt: float = 0.1) -> TreeO
     a = model.rate.entries
     h = model.obs.entries[:, 0]
     mu = model.prior.entries
-    trans = cached_expm(a, dt)            # row-stochastic one-step transition
+    trans = expm(a * dt)                  # row-stochastic one-step transition
     sq = np.sqrt(dt)
     beta = np.tanh(h * sq) / (2.0 * sq)   # sign channel: rho(s|j) = 1/2 + beta_j s
     h_eff = 2.0 * beta
@@ -472,33 +458,23 @@ def bsde_tree_oracle(model: HmmModel, f, n_steps: int, dt: float = 0.1) -> TreeO
             node_values[k][i] = c
         y_level = y_next
 
-    # estimator along every leaf path vs the recursive posterior
-    residual = 0.0
-    s_path = np.empty(n_steps)
-    for leaf in range(n_leaves):
-        s_val = mu @ y_level[0] if n_steps == 0 else node_values[0][0]
-        node = 0
-        for k in range(n_steps):
-            s_idx = (leaf >> (n_steps - 1 - k)) & 1
-            s_val -= controls[k][node] * sign_values[s_idx]
-            node = 2 * node + s_idx
-        residual = max(residual, abs(s_val - node_values[n_steps][node]))
-
-    # enumerated posterior and exact cost
-    filter_gap, cost = _tree_enumeration(model, f, n_steps, dt, trans, beta,
-                                         posteriors, controls, node_values, sign_values)
-    max_u = max(float(np.abs(c).max()) for c in controls) if controls else 0.0
+    filter_gap, residual, cost = _tree_enumeration(model, f, n_steps, trans, beta, posteriors,
+                                                   controls, node_values, sign_values)
+    max_u = max(float(np.abs(c).max()) for c in controls)
     return TreeOracleResult(optimal_cost=cost, estimator_residual=float(residual),
                             filter_gap=float(filter_gap), max_control=max_u,
                             terminal_posteriors=posteriors[n_steps])
 
 
-def _tree_enumeration(model, f, n_steps, dt, trans, beta, posteriors, controls,
-                      node_values, sign_values):
+def _tree_enumeration(model, f, n_steps, trans, beta, posteriors, controls, node_values,
+                      sign_values):
     """Brute-force joint enumeration over (state path, sign path).
 
-    Independent check of the recursive posterior, plus the exact optimal
-    cost ``E (f(X_N) - S_N)^2``.
+    One walk over the leaves forms the recursion's estimator ``S_N`` along
+    each leaf's sign path.  Returns the largest gap between the enumerated
+    and the recursive posterior (an independent check of the filter), the
+    largest gap ``|S_N - pi_N(f)|`` (the estimator residual) and the exact
+    optimal cost ``E (f(X_N) - S_N)^2``.
     """
     d = model.dim
     mu = model.prior.entries
@@ -506,8 +482,7 @@ def _tree_enumeration(model, f, n_steps, dt, trans, beta, posteriors, controls,
     base_w = mu[state_paths[:, 0]].copy()
     for k in range(1, n_steps + 1):
         base_w *= trans[state_paths[:, k - 1], state_paths[:, k]]
-    filter_gap = 0.0
-    cost = 0.0
+    filter_gap = residual = cost = 0.0
     for leaf in range(2**n_steps):
         w = base_w.copy()
         s_val = node_values[0][0]
@@ -523,6 +498,7 @@ def _tree_enumeration(model, f, n_steps, dt, trans, beta, posteriors, controls,
         np.add.at(post, state_paths[:, n_steps], w)
         post_n = post / p_leaf
         filter_gap = max(filter_gap, np.abs(post_n - posteriors[n_steps][node]).max())
+        residual = max(residual, abs(s_val - node_values[n_steps][node]))
         fx = f[state_paths[:, n_steps]]
         cost += float(((fx - s_val) ** 2 * w).sum())
-    return filter_gap, cost
+    return filter_gap, residual, cost

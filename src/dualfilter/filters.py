@@ -16,8 +16,10 @@ One kernel, :func:`_advance`, runs the scheme on a batch of rows,
 renormalizing every step and recording the mass it divides out; a single
 record runs it in about ``sqrt(n)`` chunks side by side (:func:`_scan`).
 The Zakai solution operator is the same kernel on the rows of the identity
-(one row per column), and the Monte-Carlo gramian of
-:mod:`~dualfilter.duality` streams a batch of operators through it.  The
+(one row per column), run a block of steps at a time on a batch of records
+by :func:`zakai_operator_blocks`: :func:`zakai_operator` collects the
+blocks of one record, and the Monte-Carlo gramian of
+:mod:`~dualfilter.duality` reduces the same stream block by block.  The
 Wonham filters use raw likelihoods, so a mass underflow is reported at its
 step (and, for a batch, its first failing path); the Zakai filter, its
 operator and the smoother factor each step's largest log likelihood into
@@ -31,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import LinAlgError, solve_continuous_are
+from scipy.linalg import LinAlgError, expm, solve_continuous_are
 
 from ._csv import csv_text, grid_rows
-from ._linalg import affine_scan, cached_expm, rk4, symmetrize
+from ._linalg import affine_scan, rk4, symmetrize
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, as_simplex, q_matrices
 
 Array = NDArray[np.float64]
@@ -223,7 +225,7 @@ def _scan(step: Array, log_like: Array, x0: Array, shift: bool) -> tuple[Array, 
 def wonham_filter(model: HmmModel, prior, obs) -> BeliefPath:
     """Optimal nonlinear filter of a finite-state chain, renormalized each step."""
     _check_hmm_inputs(model, obs)
-    beliefs, _ = _scan(cached_expm(model.rate.entries.T, obs.dt).T,
+    beliefs, _ = _scan(expm(model.rate.entries.T * obs.dt).T,
                        _log_likelihoods(model.obs.entries, obs.increments, obs.dt),
                        as_simplex(prior).entries, shift=False)
     return BeliefPath(dt=obs.dt, beliefs=beliefs)
@@ -243,7 +245,7 @@ def wonham_filter_batch(model: HmmModel, prior, increments: Array, dt: float,
         raise ValueError("keep_every must be at least 1")
     prior = as_simplex(prior)
     n_paths, n_steps, _ = increments.shape
-    step = cached_expm(model.rate.entries.T, dt).T
+    step = expm(model.rate.entries.T * dt).T
     out = np.empty((n_paths, n_steps // keep_every + 1, model.dim))
     out[:, 0] = x = prior.entries
     for b in range(0, n_steps, BATCH_BLOCK):
@@ -260,7 +262,7 @@ def zakai_filter(model: HmmModel, prior, obs) -> UnnormalizedPath:
     for horizons where ``sigma_t(1)`` itself would under- or overflow.
     """
     _check_hmm_inputs(model, obs)
-    masses, logn = _scan(cached_expm(model.rate.entries.T, obs.dt).T,
+    masses, logn = _scan(expm(model.rate.entries.T * obs.dt).T,
                          _log_likelihoods(model.obs.entries, obs.increments, obs.dt),
                          as_simplex(prior).entries, shift=True)
     return UnnormalizedPath(dt=obs.dt, masses=masses, log_normalizer=logn)
@@ -277,20 +279,49 @@ def zakai_operator(model: HmmModel, obs) -> ZakaiOperatorPath:
     column's peak-shifted mass underflows.
     """
     _check_hmm_inputs(model, obs)
-    d, n = model.dim, obs.n_steps
-    log_like = _log_likelihoods(model.obs.entries, obs.increments, obs.dt)
-    peak = log_like.max(axis=1, keepdims=True)
-    psi = np.empty((n + 1, d, d))
-    log_scale = np.zeros((n + 1, d))
-    psi[0] = np.eye(d)
-    try:                                              # row j of step k is psi[k][:, j]
-        _advance(cached_expm(model.rate.entries.T, obs.dt).T,
-                 np.broadcast_to(np.exp(log_like - peak), (d, n, d)), psi[0],
-                 psi[1:].transpose(2, 0, 1), log_scale[1:].T)
+    d = model.dim
+    psi, log_scale = np.empty((obs.n_steps + 1, d, d)), np.zeros((obs.n_steps + 1, d))
+    psi[0], k = np.eye(d), 0
+    try:
+        for cols, logs in zakai_operator_blocks(model, obs.increments[None], obs.dt):
+            psi[k:k + logs.shape[2]] = cols[0].transpose(1, 2, 0)
+            log_scale[k:k + logs.shape[2]] = logs[0].T
+            k += logs.shape[2] - 1
     except NumericalFailure as exc:                     # one record: the step says it all
         raise NumericalFailure(exc.reason, exc.step) from None
-    np.cumsum(np.log(log_scale[1:]) + peak, axis=0, out=log_scale[1:])
     return ZakaiOperatorPath(dt=obs.dt, psi=psi, log_scale=log_scale)
+
+
+def zakai_operator_blocks(model: HmmModel, increments: Array, dt: float):
+    """:func:`zakai_operator` of each record of ``increments`` (n_paths,
+    n_steps, m), ``BATCH_BLOCK`` steps at a time.
+
+    Each block of ``c`` steps yields ``(cols, log_scale)``, shaped (n_paths,
+    d, c + 1, d) and (n_paths, d, c + 1): column ``j`` of path ``p``'s
+    operator, normalized, and its log mass at the block's grid points, the
+    first of which ends the previous block.  A column underflow raises
+    :class:`~dualfilter.models.NumericalFailure` naming its step and path.
+    """
+    n_paths, n_steps, _ = increments.shape
+    d = model.dim
+    step = expm(model.rate.entries.T * dt).T
+    x = np.tile(np.eye(d), (n_paths, 1))              # row p d + j: column j of path p
+    log_scale = np.zeros(n_paths * d)
+    for b in range(0, n_steps, BATCH_BLOCK):
+        log_like = _log_likelihoods(model.obs.entries, increments[:, b:b + BATCH_BLOCK], dt)
+        c = log_like.shape[1]
+        peak = log_like.max(axis=2)
+        rows, logs = np.empty((n_paths * d, c + 1, d)), np.empty((n_paths * d, c + 1))
+        rows[:, 0], logs[:, 0] = x, log_scale
+        try:
+            x = _advance(step, np.repeat(np.exp(log_like - peak[..., None]), d, axis=0), x,
+                         rows[:, 1:], logs[:, 1:], first=b)
+        except NumericalFailure as exc:
+            raise NumericalFailure(exc.reason, exc.step, exc.path // d) from None
+        logs[:, 1:] = np.log(logs[:, 1:]) + np.repeat(peak, d, axis=0)
+        np.cumsum(logs, axis=1, out=logs)
+        log_scale = logs[:, c]
+        yield rows.reshape(n_paths, d, c + 1, d), logs.reshape(n_paths, d, c + 1)
 
 
 def innovation_path(model: HmmModel, beliefs: BeliefPath, obs) -> Array:
@@ -392,7 +423,7 @@ def solve_are(model: LinearGaussianModel) -> tuple[Array, bool]:
 def prior_flow(rate: Array, mu0: Array, n_steps: int, dt: float) -> Array:
     """Prior marginals ``mu_t = expm(A^T t) mu0`` at ``n_steps + 1`` grid
     points ``dt`` apart: the forward kernel with unit likelihoods."""
-    mu, _ = _scan(cached_expm(rate.T, dt).T, np.zeros((n_steps, rate.shape[0])), mu0, shift=False)
+    mu, _ = _scan(expm(rate.T * dt).T, np.zeros((n_steps, rate.shape[0])), mu0, shift=False)
     return mu
 
 
@@ -416,7 +447,7 @@ def _chain_kalman(model: HmmModel, increments: Array, dt: float) -> tuple[Array,
     covs, _ = chain_riccati(model, increments.shape[1], dt)
     _check_psd(covs)
     prior = np.broadcast_to(model.prior.entries, (increments.shape[0], model.dim))
-    est = _kalman_means(cached_expm(model.rate.entries.T, dt).T, model.obs.entries, covs,
+    est = _kalman_means(expm(model.rate.entries.T * dt).T, model.obs.entries, covs,
                         increments, prior, dt)
     return est, covs
 

@@ -32,9 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg import expm
 
 from ._csv import csv_text, grid_rows
-from ._linalg import affine_scan, cached_expm, rk4, simpson, symmetrize, van_loan_discretization
+from ._linalg import affine_scan, rk4, simpson, symmetrize, van_loan_discretization
 from .filters import _log_likelihoods, _scan, riccati_half_grid, riccati_rhs
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, as_simplex
 
@@ -101,7 +102,7 @@ def forward_backward_smoother(model: HmmModel, obs, prior=None) -> SmoothingPath
     prior = as_simplex(model.prior if prior is None else prior)
     n, dt = obs.n_steps, obs.dt
     d = model.dim
-    step = cached_expm(model.rate.entries.T, dt).T       # expm(A dt); rows are beliefs
+    step = expm(model.rate.entries.T * dt).T      # expm(A dt); rows are beliefs
     log_like = _log_likelihoods(model.obs.entries, obs.increments, dt)
     fwd, log_mass = _scan(step, log_like, prior.entries, shift=True)
     with np.errstate(divide="ignore"):

@@ -25,6 +25,7 @@ from .sim import batch_hmm_observations, n_steps_for
 Array = NDArray[np.float64]
 
 SUPPORT_TOL = 1e-15
+DECOMPOSITION_TOL = 1e-8     # largest gap the class decomposition identity allows
 
 
 @dataclass(frozen=True)
@@ -58,27 +59,20 @@ class PriorPair:
 
 
 def divergences(p, q) -> tuple[float, float, float]:
-    """``(chi2, kl, tv)`` between simplex vectors with ``p << q`` intended.
+    """``(chi2, kl, tv)`` between two simplex vectors with ``p << q`` intended:
+    :func:`divergences_batch` on the pair.
 
     Support violations return ``inf`` for chi-square and KL (with the total
     variation still finite) instead of raising, so streaming experiments can
     continue past numerically degenerate posteriors.
     """
-    p = np.asarray(p, dtype=float).ravel()
-    q = np.asarray(q, dtype=float).ravel()
-    tv = 0.5 * float(np.abs(p - q).sum())
-    bad = (p > SUPPORT_TOL) & (q <= SUPPORT_TOL)
-    if np.any(bad):
-        return float("inf"), float("inf"), tv
-    pos_q = q > SUPPORT_TOL
-    chi2 = float(np.sum((p[pos_q] - q[pos_q]) ** 2 / q[pos_q]))
-    pos_p = pos_q & (p > SUPPORT_TOL)
-    kl = float(np.sum(p[pos_p] * np.log(p[pos_p] / q[pos_p])))
-    return chi2, max(kl, 0.0), tv
+    chi2, kl, tv = divergences_batch(np.asarray(p, dtype=float).ravel(),
+                                     np.asarray(q, dtype=float).ravel())
+    return float(chi2), float(kl), float(tv)
 
 
 def divergences_batch(p: Array, q: Array) -> tuple[Array, Array, Array]:
-    """Vectorized :func:`divergences` over matching leading axes."""
+    """:func:`divergences` along the last axis, over matching leading axes."""
     tv = 0.5 * np.abs(p - q).sum(axis=-1)
     bad = ((p > SUPPORT_TOL) & (q <= SUPPORT_TOL)).any(axis=-1)
     safe_q = np.where(q > SUPPORT_TOL, q, 1.0)
@@ -123,6 +117,16 @@ def _mean_stderr(x: Array) -> tuple[Array, Array]:
     return mean, np.sqrt(var / n)
 
 
+def _twin_beliefs(model: HmmModel, priors: PriorPair, horizon: float, dt: float, n_paths: int,
+                  seed, keep_every: int = 1) -> tuple[Array, Array]:
+    """Kept beliefs of the filters from ``mu`` and from ``nu`` on one batch
+    of records simulated under ``mu``; the increments are freed on return."""
+    _, incs = batch_hmm_observations(model.with_prior(priors.mu), horizon, dt, n_paths, seed,
+                                     measure="P")
+    return (wonham_filter_batch(model, priors.mu, incs, dt, keep_every),
+            wonham_filter_batch(model, priors.nu, incs, dt, keep_every))
+
+
 def twin_filter_experiment(
     model: HmmModel,
     priors: PriorPair,
@@ -141,10 +145,7 @@ def twin_filter_experiment(
     function.  ``keep_every`` subsamples the reporting grid; only the kept
     beliefs are stored.
     """
-    work = model.with_prior(priors.mu)
-    _, incs = batch_hmm_observations(work, horizon, dt, n_paths, seed, measure="P")
-    pm = wonham_filter_batch(model, priors.mu, incs, dt, keep_every)
-    pn = wonham_filter_batch(model, priors.nu, incs, dt, keep_every)
+    pm, pn = _twin_beliefs(model, priors, horizon, dt, n_paths, seed, keep_every)
     chi2, kl, tv = divergences_batch(pm, pn)
     chi2_m, chi2_se = _mean_stderr(chi2)
     kl_m, kl_se = _mean_stderr(kl)
@@ -180,10 +181,7 @@ def kl_supermartingale_check(
     if not np.isfinite(kl0):
         raise ValueError("prior relative entropy is infinite")
     n = n_steps_for(horizon, dt)
-    work = model.with_prior(priors.mu)
-    _, incs = batch_hmm_observations(work, horizon, dt, n_paths, seed, measure="P")
-    bel_mu = wonham_filter_batch(model, priors.mu, incs, dt)
-    bel_nu = wonham_filter_batch(model, priors.nu, incs, dt)
+    bel_mu, bel_nu = _twin_beliefs(model, priors, horizon, dt, n_paths, seed)
     _, kl, _ = divergences_batch(bel_mu, bel_nu)
     h = model.obs.entries
     gap = (bel_mu[:, :-1] @ h - bel_nu[:, :-1] @ h)
@@ -436,7 +434,6 @@ def chi2_bound_check(
 
 def ergodic_class_detection(
     model: HmmModel, priors: PriorPair, horizon: float, dt: float, n_paths: int, seed,
-    decomposition_tol: float = 1e-8,
 ) -> dict:
     """Ergodic-class detection error of the mismatched filter.
 
@@ -482,7 +479,7 @@ def ergodic_class_detection(
         "detection_error": detection_error,
         "detection_stderr": detection_stderr,
         "decomposition_gap": max_gap,
-        "decomposition_ok": bool(max_gap <= decomposition_tol),
+        "decomposition_ok": bool(max_gap <= DECOMPOSITION_TOL),
         "class_mass_drift": drift.mean(axis=0),
         "class_mass_drift_stderr": drift.std(axis=0, ddof=1) / np.sqrt(n_paths),
     }

@@ -14,10 +14,10 @@ affine passes replaced; that re-trace is unstable over long horizons.
 """
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.special import logsumexp
 
-from dualfilter._linalg import (cached_expm, drift_step, rk4, simpson, symmetrize,
-                                van_loan_discretization)
+from dualfilter._linalg import drift_step, rk4, simpson, symmetrize, van_loan_discretization
 from dualfilter._rng import path_rng
 from dualfilter.filters import (MASS_FLOOR, BeliefPath, GaussianBeliefPath, UnnormalizedPath,
                                 ZakaiOperatorPath, _check_psd, _rk4_riccati, chain_riccati,
@@ -31,7 +31,7 @@ from dualfilter.smoothing import (EnergyTrajectory, GaussianSmoothingPath, Smoot
 def wonham_loop(model, prior, obs) -> BeliefPath:
     prior = as_simplex(prior)
     h = model.obs.entries
-    trans = cached_expm(model.rate.entries.T, obs.dt)
+    trans = expm(model.rate.entries.T * obs.dt)
     like = np.exp(obs.increments @ h.T - 0.5 * np.sum(h * h, axis=1) * obs.dt)
     out = np.empty((obs.n_steps + 1, model.dim))
     out[0] = prior.entries
@@ -49,7 +49,7 @@ def wonham_loop(model, prior, obs) -> BeliefPath:
 def wonham_batch_loop(model, prior, increments, dt, keep_every=1):
     prior = as_simplex(prior)
     n_paths, n_steps, _ = increments.shape
-    trans_t = cached_expm(model.rate.entries.T, dt).T
+    trans_t = expm(model.rate.entries.T * dt).T
     h = model.obs.entries
     quad = 0.5 * np.sum(h * h, axis=1) * dt
     out = np.empty((n_paths, n_steps // keep_every + 1, model.dim))
@@ -69,7 +69,7 @@ def wonham_batch_loop(model, prior, increments, dt, keep_every=1):
 def zakai_loop(model, prior, obs) -> UnnormalizedPath:
     prior = as_simplex(prior)
     h = model.obs.entries
-    trans = cached_expm(model.rate.entries.T, obs.dt)
+    trans = expm(model.rate.entries.T * obs.dt)
     quad = 0.5 * np.sum(h * h, axis=1) * obs.dt
     log_like = obs.increments @ h.T - quad
     masses = np.empty((obs.n_steps + 1, model.dim))
@@ -91,7 +91,7 @@ def zakai_operator_loop(model, obs) -> ZakaiOperatorPath:
     """Raw likelihoods; a column is rescaled by its peak only when that peak
     leaves ``[1e-150, 1e150]``."""
     d, rescale_above = model.dim, 1e150
-    trans = cached_expm(model.rate.entries.T, obs.dt)
+    trans = expm(model.rate.entries.T * obs.dt)
     h = model.obs.entries
     like = np.exp(obs.increments @ h.T - 0.5 * np.sum(h * h, axis=1) * obs.dt)
     psi = np.empty((obs.n_steps + 1, d, d))
@@ -142,7 +142,7 @@ def forward_backward_loop(model, obs, prior=None) -> SmoothingPath:
     prior = as_simplex(model.prior if prior is None else prior)
     n, dt = obs.n_steps, obs.dt
     d = model.dim
-    trans_meas = cached_expm(model.rate.entries.T, dt)
+    trans_meas = expm(model.rate.entries.T * dt)
     trans_fun = trans_meas.T
     h = model.obs.entries
     quad = 0.5 * np.sum(h * h, axis=1) * dt
@@ -247,7 +247,7 @@ def chain_kalman_loop(model, increments, dt):
     _check_psd(covs)
     h = model.obs.entries
     gains = covs @ h
-    trans_t = cached_expm(model.rate.entries.T, dt).T
+    trans_t = expm(model.rate.entries.T * dt).T
     est = np.empty((n_paths, n + 1, model.dim))
     est[:, 0] = x = model.prior.entries
     for k in range(n):

@@ -12,11 +12,12 @@ from conftest import bounded_vectors, make_hmm, random_hmm, rate_matrices, simpl
 from loop_oracles import (forward_backward_loop, wonham_batch_loop, wonham_loop, zakai_loop,
                           zakai_operator_loop)
 from dualfilter.catalog import counter_example, scalar_lg, two_state
-from dualfilter.filters import (_rk4_riccati, innovation_path, kalman_bucy, kf_markov_chain,
-                                solve_are, wonham_filter, wonham_filter_batch, zakai_filter,
-                                zakai_operator)
+from dualfilter.filters import (BATCH_BLOCK, _rk4_riccati, innovation_path, kalman_bucy,
+                                kf_markov_chain, solve_are, wonham_filter, wonham_filter_batch,
+                                zakai_filter, zakai_operator, zakai_operator_blocks)
 from dualfilter.models import LinearGaussianModel, NumericalFailure
-from dualfilter.sim import ObservationPath, simulate_hmm, simulate_linear_gaussian
+from dualfilter.sim import (ObservationPath, batch_hmm_observations, simulate_hmm,
+                            simulate_linear_gaussian)
 from dualfilter.smoothing import forward_backward_smoother
 
 
@@ -376,6 +377,25 @@ class TestZakaiOperatorKernel:
         ref = zakai_operator_loop(m, obs)
         assert ref.log_scale[-1].max() > 100.0
         assert_same_operator(zakai_operator(m, obs), ref)
+
+    @pytest.mark.parametrize("model, n_paths", [
+        (counter_example(), 3), (random_hmm(np.random.default_rng(5), d=3, m=2), 5)])
+    def test_block_stream_matches_each_record(self, model, n_paths):
+        # two full blocks and a short one; path k of the batch must be the
+        # operator of path k's record alone, bit for bit
+        n, dt = 2 * BATCH_BLOCK + 5, 0.01
+        _, incs = batch_hmm_observations(model, n * dt, dt, n_paths, seed=7, measure="P_tilde")
+        blocks = list(zakai_operator_blocks(model, incs, dt))
+        assert [logs.shape[2] - 1 for _, logs in blocks] == [BATCH_BLOCK, BATCH_BLOCK, 5]
+        for (cols, logs), (next_cols, next_logs) in zip(blocks, blocks[1:]):
+            assert np.array_equal(next_cols[:, :, 0], cols[:, :, -1])
+            assert np.array_equal(next_logs[:, :, 0], logs[:, :, -1])
+        cols = np.concatenate([blocks[0][0][:, :, :1]] + [c[:, :, 1:] for c, _ in blocks], axis=2)
+        logs = np.concatenate([blocks[0][1][:, :, :1]] + [g[:, :, 1:] for _, g in blocks], axis=2)
+        for k in range(n_paths):
+            op = zakai_operator(model, ObservationPath(dt=dt, increments=incs[k]))
+            assert np.array_equal(cols[k].transpose(1, 2, 0), op.psi)
+            assert np.array_equal(logs[k].T, op.log_scale)
 
     def test_column_underflow_fails_like_the_filter(self):
         # frozen chain: state 2's likelihood is exp(-800) of state 1's at
