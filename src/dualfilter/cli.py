@@ -34,8 +34,8 @@ from .models import HmmModel, LinearGaussianModel, NumericalFailure, model_from_
 from .sim import (GRID_ALIGN_TOL, n_steps_for, observation_csv, simulate_hmm,
                   simulate_linear_gaussian, state_path_csv)
 from .smoothing import _discrete_kalman, _fraser_potter, _rts, forward_backward_smoother
-from .stability import (DECOMPOSITION_TOL, PriorPair, chi2_bound_check, ergodic_class_detection,
-                        kl_supermartingale_check, pi_constant)
+from .stability import (DECOMPOSITION_TOL, PriorPair, chi2_bound_check,
+                        ergodic_class_detection, kl_supermartingale_check, pi_constant)
 
 SCHEMA_VERSION = 1
 ODE_STEP = 1e-3     # largest step of the Riccati / dual-LQ ODEs in ``kalman``
