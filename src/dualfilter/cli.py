@@ -7,6 +7,8 @@ Every experiment writes, under the output directory:
 * one CSV per metric;
 * ``summary.json`` -- computed values plus one pass/fail entry per check.
 
+A run checks its configuration and computes the experiment in memory before
+it writes anything, so a usage error leaves the output directory untouched.
 Exit status: 0 when every check passes, 1 on a failed check or numerical
 failure, 2 on usage errors.  Identical configurations and seeds produce
 byte-identical CSV output.
@@ -17,8 +19,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 import click
 import numpy as np
@@ -82,11 +85,11 @@ def _jsonify(obj):
     return obj
 
 
-# experiments that draw Monte-Carlo paths; ``kalman`` does on finite-state models
-MONTE_CARLO = frozenset({"gramian", "duality-check", "stability", "detect-classes"})
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(_jsonify(doc), indent=2, sort_keys=True) + "\n")
 
 
-def _check_grid_and_paths(config: ExperimentConfig, model) -> None:
+def _check_grid_and_paths(config: ExperimentConfig, draws: bool) -> None:
     """Reject a time grid or a path count that the experiment cannot run on."""
     try:
         dt, horizon = float(config.dt), float(config.horizon)
@@ -98,127 +101,115 @@ def _check_grid_and_paths(config: ExperimentConfig, model) -> None:
         n_steps_for(horizon, dt)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    draws = config.experiment in MONTE_CARLO or (
-        config.experiment == "kalman" and isinstance(model, HmmModel))
     if draws and not (isinstance(config.n_paths, int) and config.n_paths >= 2):
         raise click.UsageError(
             f"{config.experiment} needs at least 2 Monte-Carlo paths, got {config.n_paths!r}")
 
 
 def run(config: ExperimentConfig) -> int:
-    """Execute one experiment and write its artifacts; returns the exit code."""
-    runners = {
-        "simulate": _run_simulate,
-        "filter": _run_filter,
-        "smooth": _run_smooth,
-        "analyze": _run_analyze,
-        "gramian": _run_gramian,
-        "duality-check": _run_duality_check,
-        "stability": _run_stability,
-        "detect-classes": _run_detect_classes,
-        "kalman": _run_kalman,
-    }
-    if config.experiment not in runners:
+    """Check the configuration, run the experiment, then write its artifacts;
+    returns the exit code.  Usage errors raise ``click.UsageError`` and write
+    nothing."""
+    experiment = EXPERIMENTS.get(config.experiment)
+    if experiment is None:
         raise click.UsageError(
-            f"unknown experiment {config.experiment!r}; known: {', '.join(sorted(runners))}")
+            f"unknown experiment {config.experiment!r}; known: {', '.join(sorted(EXPERIMENTS))}")
     try:
         model = config.resolve_model()
     except (KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"cannot build model: {exc}")
-    _check_grid_and_paths(config, model)
+    runner = experiment.runners.get(type(model))
+    if runner is None:          # every experiment runs on finite-state models
+        raise click.UsageError(f"{config.experiment} requires a finite-state model")
+    _check_grid_and_paths(config, experiment.draws and type(model) is HmmModel)
+    try:
+        checks, values, files = runner(config, model)
+        failure = None
+    except NumericalFailure as exc:
+        failure = exc
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:       # the library rejects this model for this experiment
+        raise click.UsageError(str(exc))
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "schema": SCHEMA_VERSION,
-        "version": __version__,
-        "config": _jsonify(asdict(config)),
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    try:
-        checks, values, files = runners[config.experiment](config, model)
-    except NumericalFailure as exc:
-        (out / "summary.json").write_text(json.dumps(
-            {"experiment": config.experiment, "error": str(exc)}, indent=2) + "\n")
-        click.echo(f"numerical failure: {exc}", err=True)
+    _write_json(out / "manifest.json",
+                {"schema": SCHEMA_VERSION, "version": __version__, "config": asdict(config)})
+    if failure is not None:
+        for name in experiment.files:
+            (out / name).unlink(missing_ok=True)
+        _write_json(out / "summary.json", {"experiment": config.experiment, "error": str(failure)})
+        click.echo(f"numerical failure: {failure}", err=True)
         return 1
     for name, text in files.items():
         (out / name).write_text(text)
-    summary = {
+    all_passed = all(c.passed for c in checks)
+    _write_json(out / "summary.json", {
         "experiment": config.experiment,
-        "checks": [_jsonify(asdict(c)) for c in checks],
-        "values": _jsonify(values),
-        "all_passed": all(c.passed for c in checks),
-    }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        "checks": [asdict(c) for c in checks],
+        "values": values,
+        "all_passed": all_passed,
+    })
     for c in checks:
         click.echo(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: value={c.value:.6g} threshold={c.threshold:.6g}")
-    if not summary["all_passed"]:
+    if not all_passed:
         click.echo("one or more checks failed", err=True)
         return 1
     return 0
 
 
-# -- experiment runners ---------------------------------------------------------
+# -- experiment runners: (config, model) -> (checks, values, {csv name: text}) ----
 
-def _run_simulate(config: ExperimentConfig, model):
-    files = {}
-    if isinstance(model, HmmModel):
-        sp, obs = simulate_hmm(model, config.horizon, config.dt, config.seed)
-        files["states.csv"] = state_path_csv(sp)
-        files["observations.csv"] = observation_csv(obs)
-        values = {"n_jumps": len(sp.jump_times) - 1, "n_steps": obs.n_steps}
-    else:
-        xs, obs = simulate_linear_gaussian(model, config.horizon, config.dt, config.seed)
-        head = "t," + ",".join(f"x_{i + 1}" for i in range(model.dim))
-        files["states.csv"] = csv_text(head, grid_rows(config.dt, xs))
-        files["observations.csv"] = observation_csv(obs)
-        values = {"n_steps": obs.n_steps}
-    return [], values, files
+def _run_simulate_hmm(config: ExperimentConfig, model: HmmModel):
+    sp, obs = simulate_hmm(model, config.horizon, config.dt, config.seed)
+    values = {"n_jumps": len(sp.jump_times) - 1, "n_steps": obs.n_steps}
+    return [], values, {"states.csv": state_path_csv(sp), "observations.csv": observation_csv(obs)}
 
 
-def _run_filter(config: ExperimentConfig, model):
-    checks, files = [], {}
-    if isinstance(model, HmmModel):
-        sp, obs = simulate_hmm(model, config.horizon, config.dt, config.seed)
-        unn = zakai_filter(model, model.prior, obs)
-        bel = unn.normalized()
-        inn = innovation_path(model, bel, obs)
-        mean = float(inn.mean())
-        se = float(inn.std(ddof=1) / np.sqrt(inn.size))
-        checks.append(Check("innovation_mean_zero", abs(mean) <= 3 * se + 1e-12, mean, 3 * se))
-        files["beliefs.csv"] = bel.csv()
-        values = {"terminal_belief": bel.beliefs[-1], "log_mass": unn.log_normalizer[-1]}
-    else:
-        _, obs = simulate_linear_gaussian(model, config.horizon, config.dt, config.seed)
-        gp = kalman_bucy(model, obs)
-        lam = float(np.linalg.eigvalsh(gp.covs).min())
-        checks.append(Check("covariance_psd", lam >= -1e-8, lam, -1e-8))
-        files["beliefs.csv"] = gp.csv()
-        values = {"terminal_mean": gp.means[-1], "terminal_cov": gp.covs[-1]}
-    return checks, values, files
+def _run_simulate_lg(config: ExperimentConfig, model: LinearGaussianModel):
+    xs, obs = simulate_linear_gaussian(model, config.horizon, config.dt, config.seed)
+    head = "t," + ",".join(f"x_{i + 1}" for i in range(model.dim))
+    files = {"states.csv": csv_text(head, grid_rows(config.dt, xs)),
+             "observations.csv": observation_csv(obs)}
+    return [], {"n_steps": obs.n_steps}, files
 
 
-def _run_smooth(config: ExperimentConfig, model):
-    checks, files = [], {}
-    if isinstance(model, HmmModel):
-        sp, obs = simulate_hmm(model, config.horizon, config.dt, config.seed)
-        sm = forward_backward_smoother(model, obs)
-        files["smoothed.csv"] = sm.csv()
-        values = {"terminal": sm.smoothed[-1]}
-    else:
-        _, obs = simulate_linear_gaussian(model, config.horizon, config.dt, config.seed)
-        kf = _discrete_kalman(model, obs)                 # one filter pass for both smoothers
-        r, f = _rts(kf, obs.dt), _fraser_potter(model, kf, obs.dt)
-        gap = float(np.abs(r.smoothed_means - f.smoothed_means).max())
-        checks.append(Check("two_filter_matches_rts", gap <= 1e-6, gap, 1e-6))
-        files["smoothed.csv"] = r.csv()
-        values = {"terminal": r.smoothed_means[-1]}
-    return checks, values, files
+def _run_filter_hmm(config: ExperimentConfig, model: HmmModel):
+    _, obs = simulate_hmm(model, config.horizon, config.dt, config.seed)
+    unn = zakai_filter(model, model.prior, obs)
+    bel = unn.normalized()
+    inn = innovation_path(model, bel, obs)
+    mean = abs(float(inn.mean()))
+    se = float(inn.std(ddof=1) / np.sqrt(inn.size))
+    checks = [Check("innovation_mean_zero", mean <= 3 * se + 1e-12, mean, 3 * se)]
+    values = {"terminal_belief": bel.beliefs[-1], "log_mass": unn.log_normalizer[-1]}
+    return checks, values, {"beliefs.csv": bel.csv()}
 
 
-def _run_analyze(config: ExperimentConfig, model):
-    if not isinstance(model, HmmModel):
-        raise click.UsageError("analyze requires a finite-state model")
+def _run_filter_lg(config: ExperimentConfig, model: LinearGaussianModel):
+    _, obs = simulate_linear_gaussian(model, config.horizon, config.dt, config.seed)
+    gp = kalman_bucy(model, obs)
+    lam = float(np.linalg.eigvalsh(gp.covs).min())
+    values = {"terminal_mean": gp.means[-1], "terminal_cov": gp.covs[-1]}
+    return [Check("covariance_psd", lam >= -1e-8, lam, -1e-8)], values, {"beliefs.csv": gp.csv()}
+
+
+def _run_smooth_hmm(config: ExperimentConfig, model: HmmModel):
+    _, obs = simulate_hmm(model, config.horizon, config.dt, config.seed)
+    sm = forward_backward_smoother(model, obs)
+    return [], {"terminal": sm.smoothed[-1]}, {"smoothed.csv": sm.csv()}
+
+
+def _run_smooth_lg(config: ExperimentConfig, model: LinearGaussianModel):
+    _, obs = simulate_linear_gaussian(model, config.horizon, config.dt, config.seed)
+    kf = _discrete_kalman(model, obs)                 # one filter pass for both smoothers
+    r, f = _rts(kf, obs.dt), _fraser_potter(model, kf, obs.dt)
+    gap = float(np.abs(r.smoothed_means - f.smoothed_means).max())
+    checks = [Check("two_filter_matches_rts", gap <= 1e-6, gap, 1e-6)]
+    return checks, {"terminal": r.smoothed_means[-1]}, {"smoothed.csv": r.csv()}
+
+
+def _run_analyze(config: ExperimentConfig, model: HmmModel):
     sub = controllable_subspace(model, config.tol)
     observable, complement = is_observable(model, config.tol)
     stabilizable, cert = is_stabilizable(model, config.tol)
@@ -249,9 +240,7 @@ def _run_analyze(config: ExperimentConfig, model):
     return checks, values, {"subspace.csv": csv_text(head, rows)}
 
 
-def _run_gramian(config: ExperimentConfig, model):
-    if not isinstance(model, HmmModel):
-        raise click.UsageError("gramian requires a finite-state model")
+def _run_gramian(config: ExperimentConfig, model: HmmModel):
     est = gramian_mc(model, config.horizon, config.dt, config.n_paths, config.seed)
     sub = controllable_subspace(model, config.tol)
     rank = est.rank(rel_tol=config.tol)
@@ -263,34 +252,33 @@ def _run_gramian(config: ExperimentConfig, model):
     return checks, values, {"gramian.csv": csv_text("i,j,mean,stderr", rows)}
 
 
-def _run_duality_check(config: ExperimentConfig, model):
-    if not isinstance(model, HmmModel):
-        raise click.UsageError("duality-check requires a finite-state model")
+def _duality_gap(config: ExperimentConfig, model: HmmModel, u, f, seed):
+    """``duality_check_mc`` of control ``u`` and the z-score of its gap."""
+    j, mse, se = duality_check_mc(model, u, f, config.n_paths, seed, config.dt, horizon=config.horizon)
+    return j, mse, se, (abs(j - mse) / se if se > 0 else 0.0)
+
+
+def _run_duality_check(config: ExperimentConfig, model: HmmModel):
     rng = np.random.default_rng(config.seed)
-    n = int(round(config.horizon / config.dt))
+    n = n_steps_for(config.horizon, config.dt)
     f = rng.standard_normal(model.dim)
     checks, rows = [], []
     for trial in range(5):
         blocks = -(-n // 10)  # ceil; truncated back to n below
         u = rng.standard_normal((10, model.n_channels)).repeat(blocks, axis=0)[:n] * 0.4
-        j, mse, se = duality_check_mc(model, u, f, config.n_paths, config.seed + trial, config.dt,
-                                      horizon=config.horizon)
-        z = abs(j - mse) / se if se > 0 else 0.0
+        j, mse, se, z = _duality_gap(config, model, u, f, config.seed + trial)
         checks.append(Check(f"duality_gap_control_{trial}", z <= 3.0, z, 3.0))
         rows.append([trial, float(j), mse, se, float(z)])
     return checks, {"f": f}, {"duality.csv": csv_text("control,j_value,mse,stderr,z", rows)}
 
 
-def _run_stability(config: ExperimentConfig, model):
-    if not isinstance(model, HmmModel):
-        raise click.UsageError("stability requires a finite-state model")
+def _run_stability(config: ExperimentConfig, model: HmmModel):
     d = model.dim
     checks = []
-    values: dict = {}
     doeblin = pi_constant(model, "doeblin")
-    sqrt_c = pi_constant(model, "sqrt")
-    values["doeblin_constant"] = doeblin.value
-    values["sqrt_constant"] = sqrt_c.value
+    values: dict = {"doeblin_constant": doeblin.value,
+                    "sqrt_constant": pi_constant(model, "sqrt").value}
+    c_rate = doeblin.value
     if d == 2:
         closed = pi_constant(model, "closed-form-2state")
         brute = pi_constant(model, "brute-force", resolution=1e-3)
@@ -299,8 +287,6 @@ def _run_stability(config: ExperimentConfig, model):
         values["closed_form_constant"] = closed.value
         values["brute_force_constant"] = brute.value
         c_rate = closed.value
-    else:
-        c_rate = doeblin.value
     if config.c is not None:
         c_rate = config.c
     values["c"] = c_rate
@@ -317,8 +303,9 @@ def _run_stability(config: ExperimentConfig, model):
     checks.append(Check("density_ratio_bounded", gamma_ok, report["gamma_max"], report["gamma_limit"]))
     kl_rep = kl_supermartingale_check(model, pair, config.horizon, config.dt,
                                       min(config.n_paths, 4000), config.seed + 1)
-    checks.append(Check("kl_bounded_by_prior", kl_rep["bounded_by_prior"], kl_rep["kl_prior"], kl_rep["kl_prior"]))
-    checks.append(Check("kl_non_increasing", kl_rep["non_increasing"], 1.0, 1.0))
+    checks.append(Check("kl_bounded_by_prior", kl_rep["bounded_by_prior"],
+                        kl_rep["kl_lower_max"], kl_rep["kl_prior"]))
+    checks.append(Check("kl_non_increasing", kl_rep["non_increasing"], kl_rep["rise_lower_max"], 0.0))
     rows = zip(*(np.asarray(report[key], dtype=float).tolist()
                  for key in ("times", "lhs", "rhs", "stderr")),
                np.asarray(report["holds"], dtype=int).tolist())
@@ -328,9 +315,7 @@ def _run_stability(config: ExperimentConfig, model):
     return checks, values, files
 
 
-def _run_detect_classes(config: ExperimentConfig, model):
-    if not isinstance(model, HmmModel):
-        raise click.UsageError("detect-classes requires a finite-state model")
+def _run_detect_classes(config: ExperimentConfig, model: HmmModel):
     d = model.dim
     nu = np.full(d, 1.0 / d)
     pair = PriorPair.of(model.prior.entries, nu)
@@ -342,72 +327,112 @@ def _run_detect_classes(config: ExperimentConfig, model):
     return checks, rep, {"detection.csv": csv_text("class,states,detection_error,stderr", rows)}
 
 
-def _run_kalman(config: ExperimentConfig, model):
-    checks = []
-    if isinstance(model, LinearGaussianModel):
-        sigma_inf, hurwitz = solve_are(model)           # raises on a residual above ARE_RESIDUAL_TOL
-        checks.append(Check("closed_loop_hurwitz", hurwitz, float(hurwitz), 1.0))
-        rng = np.random.default_rng(config.seed)
-        f = rng.standard_normal(model.dim)
-        # the ODEs run at the largest step dt / m that does not exceed ODE_STEP
-        step = config.dt / math.ceil(config.dt / ODE_STEP * (1.0 - GRID_ALIGN_TOL))
-        cost, _, _, sig = dual_lq_linear_gaussian(model, f, config.horizon, step)
-        target = float(f @ sig[-1] @ f)
-        gap = abs(cost - target)
-        checks.append(Check("dual_lq_matches_riccati", gap <= 1e-6, gap, 1e-6))
-        values = {"sigma_inf": sigma_inf, "hurwitz": hurwitz, "dual_cost": cost, "riccati_value": target}
-        return checks, values, {}
-    # finite chain: compare the chain Kalman filter against the dual LQ value
-    rng = np.random.default_rng(config.seed)
-    f = rng.standard_normal(model.dim)
-    cost, u, y, sig = dual_deterministic_markov(model, f, config.horizon, config.dt)
-    j, mse, se = duality_check_mc(model, u[:-1], f, config.n_paths, config.seed,
-                                  config.dt, horizon=config.horizon)
-    z = abs(j - mse) / se if se > 0 else 0.0
-    checks.append(Check("deterministic_dual_duality_gap", z <= 3.0, z, 3.0))
-    values = {"dual_cost": cost, "mc_mse": mse, "stderr": se}
+def _run_kalman_lg(config: ExperimentConfig, model: LinearGaussianModel):
+    sigma_inf, hurwitz = solve_are(model)           # raises on a residual above ARE_RESIDUAL_TOL
+    f = np.random.default_rng(config.seed).standard_normal(model.dim)
+    # the ODEs run at the largest step dt / m that does not exceed ODE_STEP
+    step = config.dt / math.ceil(config.dt / ODE_STEP * (1.0 - GRID_ALIGN_TOL))
+    cost, _, _, sig = dual_lq_linear_gaussian(model, f, config.horizon, step)
+    target = float(f @ sig[-1] @ f)
+    gap = abs(cost - target)
+    checks = [Check("closed_loop_hurwitz", hurwitz, float(hurwitz), 1.0),
+              Check("dual_lq_matches_riccati", gap <= 1e-6, gap, 1e-6)]
+    values = {"sigma_inf": sigma_inf, "hurwitz": hurwitz, "dual_cost": cost, "riccati_value": target}
     return checks, values, {}
+
+
+def _run_kalman_hmm(config: ExperimentConfig, model: HmmModel):
+    # finite chain: compare the chain Kalman filter against the dual LQ value
+    f = np.random.default_rng(config.seed).standard_normal(model.dim)
+    cost, u, _, _ = dual_deterministic_markov(model, f, config.horizon, config.dt)
+    _, mse, se, z = _duality_gap(config, model, u[:-1], f, config.seed)
+    checks = [Check("deterministic_dual_duality_gap", z <= 3.0, z, 3.0)]
+    return checks, {"dual_cost": cost, "mc_mse": mse, "stderr": se}, {}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One subcommand: its help text, one runner per model family, the CSVs
+    its runners write, its config defaults, and whether its finite-state
+    runner draws Monte-Carlo paths."""
+
+    help: str
+    runners: dict[type, Callable]
+    files: tuple[str, ...] = ()
+    defaults: dict = field(default_factory=dict)
+    draws: bool = False
+
+
+EXPERIMENTS = {
+    "simulate": Experiment("Sample a state/observation record and write it as CSV.",
+                           {HmmModel: _run_simulate_hmm, LinearGaussianModel: _run_simulate_lg},
+                           ("states.csv", "observations.csv")),
+    "filter": Experiment("Run the optimal filter on a fresh record.",
+                         {HmmModel: _run_filter_hmm, LinearGaussianModel: _run_filter_lg},
+                         ("beliefs.csv",)),
+    "smooth": Experiment("Run the smoothers on a fresh record.",
+                         {HmmModel: _run_smooth_hmm, LinearGaussianModel: _run_smooth_lg},
+                         ("smoothed.csv",)),
+    "analyze": Experiment("Controllable subspace, observability and stabilizability.",
+                          {HmmModel: _run_analyze}, ("subspace.csv",)),
+    "gramian": Experiment("Monte-Carlo controllability gramian and its rank.",
+                          {HmmModel: _run_gramian}, ("gramian.csv",),
+                          {"horizon": 5.0, "dt": 5e-3, "n_paths": 2000}, draws=True),
+    "duality-check": Experiment("Control cost versus estimator error for random controls.",
+                                {HmmModel: _run_duality_check}, ("duality.csv",),
+                                {"horizon": 2.0, "dt": 1e-3, "n_paths": 2000}, draws=True),
+    "stability": Experiment("Poincare constants and the chi-square stability bound.",
+                            {HmmModel: _run_stability}, ("chi2_bound.csv", "divergences.csv"),
+                            {"model": "doeblin_demo", "horizon": 5.0, "n_paths": 2000}, draws=True),
+    "detect-classes": Experiment("Ergodic-class detection error of the mismatched filter.",
+                                 {HmmModel: _run_detect_classes}, ("detection.csv",),
+                                 {"model": "two_class_demo", "horizon": 30.0, "n_paths": 500},
+                                 draws=True),
+    "kalman": Experiment("Riccati stationarity and dual LQ consistency checks.",
+                         {HmmModel: _run_kalman_hmm, LinearGaussianModel: _run_kalman_lg}, (),
+                         {"model": "scalar_lg", "horizon": 2.0, "dt": 1e-3}, draws=True),
+}
 
 
 # -- command-line interface ------------------------------------------------------
 
-def _common_options(fn):
-    for opt in reversed([
-        click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-                     help="JSON experiment configuration; flags override its fields."),
-        click.option("--seed", type=int, default=None),
-        click.option("--out", type=click.Path(), default=None),
-        click.option("--paths", "n_paths", type=int, default=None),
-        click.option("--dt", type=float, default=None),
-        click.option("--horizon", type=float, default=None),
-        click.option("--tol", type=float, default=None),
-        click.option("--c", "c_rate", type=float, default=None,
-                     help="decay rate for the chi-square bound"),
-    ]):
-        fn = opt(fn)
-    return fn
+# every subcommand's argument and options, in --help order; parameters are
+# named after the config fields they set, except the config file and the
+# catalog parameters in _MODEL_PARAMS
+_PARAMS = [
+    click.argument("model", required=False),
+    click.option("--a1", type=float, help="rate 0<->1 for two_state"),
+    click.option("--a2", type=float, help="rate 1<->0 for two_state"),
+    click.option("--h-scale", type=float, help="observation scale for two_class_demo"),
+    click.option("--config", "config_path", type=click.Path(exists=True),
+                 help="JSON experiment configuration; flags override its fields."),
+    click.option("--seed", type=int),
+    click.option("--out", type=click.Path()),
+    click.option("--paths", "n_paths", type=int),
+    click.option("--dt", type=float),
+    click.option("--horizon", type=float),
+    click.option("--tol", type=float),
+    click.option("--c", type=float, help="decay rate for the chi-square bound"),
+]
+_MODEL_PARAMS = ("a1", "a2", "h_scale")
 
 
-def _build_config(experiment, model, config_path, seed, out, n_paths, dt, horizon, tol, c_rate,
-                  model_params=None, defaults=None) -> ExperimentConfig:
-    base: dict = dict(defaults or {})
-    if config_path is not None:
-        loaded = json.loads(Path(config_path).read_text())
-        if loaded.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise click.UsageError(f"unsupported config schema {loaded.get('schema')!r}")
-        loaded.pop("schema", None)
+def _build_config(experiment: str, flags: dict, defaults: dict) -> ExperimentConfig:
+    """The experiment's defaults, overridden by the ``--config`` file, then
+    by the flags that were given."""
+    flags = {key: val for key, val in flags.items() if val is not None}
+    base = dict(defaults)
+    if "config_path" in flags:
+        loaded = json.loads(Path(flags.pop("config_path")).read_text())
+        schema = loaded.pop("schema", SCHEMA_VERSION)
+        if schema != SCHEMA_VERSION:
+            raise click.UsageError(f"unsupported config schema {schema!r}")
         base.update(loaded)
-    if model is not None:
-        base["model"] = model
-    if model_params:
-        base["model_params"] = {**base.get("model_params", {}), **model_params}
-    for key, val in (("seed", seed), ("out", out), ("n_paths", n_paths), ("dt", dt),
-                     ("horizon", horizon), ("tol", tol), ("c", c_rate)):
-        if val is not None:
-            base[key] = val
-    base["experiment"] = experiment
-    known = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
-    unknown = set(base) - known
+    params = {key: flags.pop(key) for key in _MODEL_PARAMS if key in flags}
+    if params:
+        base["model_params"] = {**base.get("model_params", {}), **params}
+    base.update(flags, experiment=experiment)
+    unknown = set(base) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise click.UsageError(f"unknown config fields: {', '.join(sorted(unknown))}")
     try:
@@ -423,56 +448,17 @@ def main():
     Markov models and linear-Gaussian systems."""
 
 
-_EXPERIMENT_HELP = {
-    "simulate": "Sample a state/observation record and write it as CSV.",
-    "filter": "Run the optimal filter on a fresh record.",
-    "smooth": "Run the smoothers on a fresh record.",
-    "analyze": "Controllable subspace, observability and stabilizability.",
-    "gramian": "Monte-Carlo controllability gramian and its rank.",
-    "duality-check": "Control cost versus estimator error for random controls.",
-    "stability": "Poincare constants and the chi-square stability bound.",
-    "detect-classes": "Ergodic-class detection error of the mismatched filter.",
-    "kalman": "Riccati stationarity and dual LQ consistency checks.",
-}
+def _register(name: str, experiment: Experiment) -> None:
+    def command(**flags):
+        sys.exit(run(_build_config(name, flags, experiment.defaults)))
+
+    for param in reversed(_PARAMS):
+        command = param(command)
+    main.command(name=name, help=experiment.help)(command)
 
 
-def _register(name: str, defaults: dict | None = None):
-    defaults = defaults or {}
-
-    @main.command(name=name, help=_EXPERIMENT_HELP.get(name))
-    @click.argument("model", required=False, default=None)
-    @click.option("--a1", type=float, default=None, help="rate 0<->1 for two_state")
-    @click.option("--a2", type=float, default=None, help="rate 1<->0 for two_state")
-    @click.option("--h-scale", type=float, default=None, help="observation scale for two_class_demo")
-    @_common_options
-    def _cmd(model, a1, a2, h_scale, config_path, seed, out, n_paths, dt, horizon, tol, c_rate,
-             _name=name, _defaults=defaults):
-        params = {}
-        if a1 is not None:
-            params["a1"] = a1
-        if a2 is not None:
-            params["a2"] = a2
-        if h_scale is not None:
-            params["h_scale"] = h_scale
-        cfg = _build_config(_name, model, config_path, seed, out, n_paths, dt, horizon, tol,
-                            c_rate, params, defaults=_defaults)
-        sys.exit(run(cfg))
-
-    return _cmd
-
-
-for _name, _defaults in [
-    ("simulate", {}),
-    ("filter", {}),
-    ("smooth", {}),
-    ("analyze", {}),
-    ("gramian", {"horizon": 5.0, "dt": 5e-3, "n_paths": 2000}),
-    ("duality-check", {"horizon": 2.0, "dt": 1e-3, "n_paths": 2000}),
-    ("stability", {"model": "doeblin_demo", "horizon": 5.0, "n_paths": 2000}),
-    ("detect-classes", {"model": "two_class_demo", "horizon": 30.0, "n_paths": 500}),
-    ("kalman", {"model": "scalar_lg", "horizon": 2.0, "dt": 1e-3}),
-]:
-    _register(_name, _defaults)
+for _name, _experiment in EXPERIMENTS.items():
+    _register(_name, _experiment)
 
 
 @main.command()

@@ -7,7 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import LG3
-from dualfilter.cli import ExperimentConfig, main, run
+from dualfilter import cli
+from dualfilter.cli import EXPERIMENTS, ExperimentConfig, main, run
 
 
 @pytest.fixture
@@ -200,6 +201,52 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["error"] == "posterior mass underflow (step 0, path 0)"
 
+    def test_numerical_failure_removes_the_experiments_csvs(self, runner, tmp_path):
+        # a failed gramian run into a directory that holds an earlier run's
+        # gramian.csv must not leave that file next to its error
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["gramian", "counter_example", "--paths", "20", "--horizon", "1",
+                                   "--dt", "0.05", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert (out / "gramian.csv").exists()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "schema": 1,
+            "model": {"rate": [[0.0, 0.0], [0.0, 0.0]], "obs": [[0.0], [40.0]],
+                      "prior": [0.5, 0.5]},
+            "horizon": 5.0, "dt": 1.0, "n_paths": 50, "seed": 0,
+        }))
+        res = runner.invoke(main, ["gramian", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 1
+        assert "error" in json.loads((out / "summary.json").read_text())
+        assert json.loads((out / "manifest.json").read_text())["config"]["model"]["obs"] == [[0.0], [40.0]]
+        assert not (out / "gramian.csv").exists()
+
+    def test_chi2_bound_check_can_fail(self, runner, tmp_path):
+        # a decay rate far above the Poincare constant claims a bound that
+        # the simulated chi-square divergence breaks at every checkpoint
+        res = runner.invoke(main, ["stability", "doeblin_demo", "--paths", "200", "--horizon", "2",
+                                   "--c", "50", "--out", str(tmp_path)])
+        assert res.exit_code == 1, res.output
+        checks = {c["name"]: c for c in json.loads((tmp_path / "summary.json").read_text())["checks"]}
+        chi2 = checks["chi2_bound_holds"]
+        assert not chi2["passed"]
+        assert (chi2["value"], chi2["threshold"]) == (0.0, 10.0)
+
+    # seed 69's innovation mean lies below -3 standard errors, so that
+    # filter run fails innovation_mean_zero; the other runs pass
+    @pytest.mark.parametrize("experiment, fields, names", [
+        ("stability", {"n_paths": 50, "horizon": 1.0}, ("kl_bounded_by_prior", "kl_non_increasing")),
+        ("filter", {"horizon": 1.0}, ("innovation_mean_zero",)),
+        ("filter", {"horizon": 1.0, "seed": 69}, ("innovation_mean_zero",)),
+    ])
+    def test_checks_report_the_number_they_test(self, tmp_path, experiment, fields, names):
+        run(ExperimentConfig(experiment=experiment, model="doeblin_demo", out=str(tmp_path), **fields))
+        checks = {c["name"]: c for c in json.loads((tmp_path / "summary.json").read_text())["checks"]}
+        for name in names:
+            c = checks[name]
+            assert c["passed"] == (c["value"] <= c["threshold"] + 1e-12), c
+
     def test_detect_classes_artifacts(self, runner, tmp_path):
         res = invoke(runner, "detect-classes", "--horizon", "10", "--dt", "0.02",
                      "--paths", "100", "--out", str(tmp_path))
@@ -257,6 +304,7 @@ class TestArtifacts:
         for k, (experiment, model, fields) in enumerate(SMALL_RUNS):
             out = tmp_path / f"{k}"
             run(ExperimentConfig(experiment=experiment, model=model, out=str(out), **fields))
+            assert {p.name for p in out.glob("*.csv")} == set(EXPERIMENTS[experiment].files)
             for path in out.glob("*.csv"):
                 assert_cells_parse(path)
                 seen.add(path.stem)
@@ -270,6 +318,8 @@ class TestUsageErrors:
         ["gramian", "--paths", "1"],
         ["duality-check", "--horizon", "1", "--dt", "0.3"],
         ["stability", "--paths", "1"],
+        ["gramian", "scalar_lg"],
+        ["stability", "scalar_lg"],
     ])
     def test_exits_two_before_writing(self, runner, tmp_path, args):
         out = tmp_path / "out"
@@ -284,3 +334,49 @@ class TestUsageErrors:
         assert res.exit_code == 2
         res = invoke(runner, "kalman", "--paths", "1", "--out", str(tmp_path / "lg"))
         assert res.exit_code == 0
+
+    @pytest.mark.parametrize("experiment, model, message", [
+        ("detect-classes", {"rate": [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 1.0, -1.0]],
+                            "obs": [[1.0], [0.0], [2.0]], "prior": [0.4, 0.3, 0.3]},
+         "transient states present: [0]"),
+        ("stability", {"rate": [[0.0, 0.0], [1.0, -1.0]], "obs": [[1.0], [0.0]],
+                       "prior": [0.5, 0.5]},
+         "closed-form-2state requires an irreducible chain"),
+    ])
+    def test_model_the_experiment_rejects(self, runner, tmp_path, experiment, model, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema": 1, "model": model}))
+        out = tmp_path / "out"
+        res = runner.invoke(main, [experiment, "--config", str(cfg), "--horizon", "1",
+                                   "--paths", "10", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+        assert not out.exists()
+
+
+def test_subcommand_defaults(runner, monkeypatch):
+    # each subcommand run with no arguments, with the config it resolves captured
+    configs = {}
+
+    def capture(config):
+        configs[config.experiment] = config
+        return 0
+
+    monkeypatch.setattr(cli, "run", capture)
+    for name in EXPERIMENTS:
+        assert runner.invoke(main, [name]).exit_code == 0
+    base = {"model": "counter_example", "model_params": {}, "horizon": 2.0, "dt": 1e-2,
+            "n_paths": 1000, "seed": 0, "tol": 1e-9, "c": None, "out": "out"}
+    expected = {
+        "simulate": {},
+        "filter": {},
+        "smooth": {},
+        "analyze": {},
+        "gramian": {"horizon": 5.0, "dt": 5e-3, "n_paths": 2000},
+        "duality-check": {"horizon": 2.0, "dt": 1e-3, "n_paths": 2000},
+        "stability": {"model": "doeblin_demo", "horizon": 5.0, "n_paths": 2000},
+        "detect-classes": {"model": "two_class_demo", "horizon": 30.0, "n_paths": 500},
+        "kalman": {"model": "scalar_lg", "horizon": 2.0, "dt": 1e-3},
+    }
+    assert {name: vars(cfg) for name, cfg in configs.items()} == {
+        name: {"experiment": name, **base, **fields} for name, fields in expected.items()}
