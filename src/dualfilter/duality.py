@@ -60,10 +60,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
     def project(self, f: Array) -> Array:
         return self.basis @ (self.basis.T @ f)
 
@@ -203,7 +199,8 @@ def gramian_mc(model: HmmModel, horizon: float, dt: float, n_paths: int, seed) -
     from the shared splitting scheme.  The operators of all paths come from
     :func:`~dualfilter.filters.zakai_operator_blocks`, and each block's
     terms are summed before the next one is formed, so memory is
-    O(paths d^2) beside the increments.  Returns the sample
+    O(paths d^2) beside the increments and one block, whose views read its
+    time-major storage (c + 1, paths d, d).  Returns the sample
     mean and the entrywise standard error; a column whose mass underflows
     (see :class:`~dualfilter.filters.ZakaiOperatorPath`) raises
     :class:`~dualfilter.models.NumericalFailure` naming its step and path.
@@ -214,8 +211,7 @@ def gramian_mc(model: HmmModel, horizon: float, dt: float, n_paths: int, seed) -
     _, incs = batch_hmm_observations(model, horizon, dt, n_paths, seed, measure="P_tilde")
     samples = np.ones((n_paths, d, d))
     for cols, logs in zakai_operator_blocks(model, incs, dt):    # left points of each block
-        g = cols[:, :, :-1] @ model.obs.entries * np.exp(logs[:, :, :-1, None])
-        g = g.reshape(n_paths, d, -1)
+        g = (cols[:, :, :-1] @ model.obs.entries * np.exp(logs[:, :, :-1, None])).reshape(n_paths, d, -1)
         samples += dt * (g @ g.transpose(0, 2, 1))
         del cols, logs                                # free this block before the next is formed
     mean = samples.mean(axis=0)

@@ -12,14 +12,14 @@ filter of the discrete-time hidden Markov model induced on the grid, which
 is what makes machine-precision oracle comparisons possible elsewhere in the
 package.
 
-One kernel, :func:`_advance`, runs the scheme on a batch of rows,
-renormalizing every step and recording the mass it divides out; a single
-record runs it in about ``sqrt(n)`` chunks side by side (:func:`_scan`).
-The Zakai solution operator is the same kernel on the rows of the identity
-(one row per column), run a block of steps at a time on a batch of records
-by :func:`zakai_operator_blocks`: :func:`zakai_operator` collects the
-blocks of one record, and the Monte-Carlo gramian of
-:mod:`~dualfilter.duality` reduces the same stream block by block.  The
+One time-major kernel, :func:`_advance`, runs the scheme on a batch of
+rows, renormalizing every step and recording the mass it divides out; each
+step reads its likelihoods and writes its rows as one contiguous slab.  A
+single record runs it in about ``sqrt(n)`` chunks side by side
+(:func:`_scan`); a batch of records, a block of steps at a time
+(:func:`wonham_blocks`, and :func:`zakai_operator_blocks` for the Zakai
+solution operator, the kernel on the rows of the identity), which the
+gramian and the twin-filter reductions reduce as they come.  The
 Wonham filters use raw likelihoods, so a mass underflow is reported at its
 step (and, for a batch, its first failing path); the Zakai filter, its
 operator and the smoother factor each step's largest log likelihood into
@@ -43,7 +43,8 @@ Array = NDArray[np.float64]
 
 MASS_FLOOR = 1e-300
 SCAN_FLOOR = 1e-200      # smallest chunk-start mass the chunked scan trusts
-BATCH_BLOCK = 16         # steps of likelihoods a batch forms at once
+BATCH_BLOCK = 16         # fewest steps of likelihoods a batch forms at once
+BLOCK_ELEMENTS = 512     # row elements a longer block may hold
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,6 @@ class BeliefPath:
 
     def grid(self) -> Array:
         return np.arange(self.beliefs.shape[0]) * self.dt
-
-    def expectation(self, f) -> Array:
-        """``pi_t(f)`` along the grid."""
-        return self.beliefs @ np.asarray(f, dtype=float)
 
     def csv(self) -> str:
         d = self.beliefs.shape[1]
@@ -84,11 +81,6 @@ class UnnormalizedPath:
 
     def normalized(self) -> BeliefPath:
         return BeliefPath(dt=self.dt, beliefs=self.masses.copy())
-
-    def total_mass(self) -> Array:
-        """``sigma_t(1)`` along the grid (may overflow for long horizons;
-        prefer ``log_normalizer``)."""
-        return np.exp(self.log_normalizer)
 
 
 @dataclass(frozen=True)
@@ -155,25 +147,25 @@ def _log_likelihoods(h: Array, increments: Array, dt: float) -> Array:
 
 def _advance(step: Array, like: Array, x: Array, rows: Array, mass: Array | None = None,
              keep: int = 1, first: int = 0) -> Array:
-    """The forward kernel: ``x <- like[:, i] * (x @ step)``, renormalized, on
+    """The forward kernel: ``x <- like[i] * (x @ step)``, renormalized, on
     B rows at once for each step ``i`` (step ``first + i`` of the record) of
-    ``like`` (B, c, d).  Every ``keep``-th record step's rows fill ``rows[:, 0],
-    rows[:, 1], ...``; ``mass[:, i]`` gets the mass divided out.  Returns x.
+    the time-major ``like`` (c, B, d).  Every ``keep``-th record step's rows
+    fill ``rows[0], rows[1], ...``; ``mass[i]`` gets the mass divided out,
+    checked after the last step (the first bad step fails).  Returns x.
     """
     ones = np.ones(step.shape[0])                     # x @ ones sums rows faster than sum(axis=1)
-    for i in range(like.shape[1]):
-        x = x @ step * like[:, i]
-        s = x @ ones
-        lo, hi = s.min(initial=np.inf), s.max(initial=0.0)      # B may be 0
-        if not (lo > MASS_FLOOR and hi < np.inf):
-            row = int(np.argmin((s > MASS_FLOOR) & (s < np.inf)))
-            kind = "overflow" if s[row] > MASS_FLOOR else "underflow"
-            raise NumericalFailure(f"posterior mass {kind}", step=first + i, path=row)
-        x /= s[:, None]
-        if mass is not None:
-            mass[:, i] = s
-        if (first + i + 1) % keep == 0:
-            rows[:, (first + i + 1) // keep - first // keep - 1] = x
+    mass = np.empty(like.shape[:2]) if mass is None else mass
+    with np.errstate(all="ignore"):                   # steps after a failure are discarded
+        for i in range(like.shape[0]):
+            x = x @ step * like[i]
+            s = mass[i] = x @ ones
+            j = (first + i + 1) // keep - first // keep - 1          # its row in rows, if kept
+            x = np.divide(x, s[:, None], out=x if (first + i + 1) % keep else rows[j])
+    bad = np.argwhere(~((mass > MASS_FLOOR) & (mass < np.inf)))    # in (step, row) order
+    if bad.size:
+        i, row = bad[0].tolist()
+        kind = "overflow" if mass[i, row] > MASS_FLOOR else "underflow"
+        raise NumericalFailure(f"posterior mass {kind}", step=first + i, path=row)
     return x
 
 
@@ -194,11 +186,11 @@ def _scan(step: Array, log_like: Array, x0: Array, shift: bool) -> tuple[Array, 
     rows[0], mass = x0, logn[1:]                      # masses first, logs at the end
     c = max(1, math.isqrt(n))
     k = n // c
-    chunks = like[:k * c].reshape(k, c, d)
+    chunks = like[:k * c].reshape(k, c, d).transpose(1, 0, 2)    # step i of every chunk
     prod = np.tile(np.eye(d), (k, 1))                 # k stacked (d, d) chunk products
     with np.errstate(all="ignore"):                   # a broken product fails its mass check
         for i in range(c):
-            prod = (prod @ step).reshape(k, d, d) * chunks[:, i, None, :]
+            prod = (prod @ step).reshape(k, d, d) * chunks[i, :, None, :]
             prod = (prod / prod.max(axis=(1, 2), keepdims=True)).reshape(k * d, d)
     starts = rows[:k * c + 1:c]
     try:
@@ -207,15 +199,12 @@ def _scan(step: Array, log_like: Array, x0: Array, shift: bool) -> tuple[Array, 
             if not SCAN_FLOOR < v.sum() < np.inf:
                 raise NumericalFailure("chunk product out of range")
             starts[j + 1] = v / v.sum()
-        _advance(step, chunks, starts[:k], rows[1:k * c + 1].reshape(k, c, d),
-                 mass[:k * c].reshape(k, c))
-        _advance(step, like[None, k * c:], starts[k:], rows[None, k * c + 1:], mass[None, k * c:])
-        scanned = True
+        _advance(step, chunks, starts[:k], rows[1:k * c + 1].reshape(k, c, d).transpose(1, 0, 2),
+                 mass[:k * c].reshape(k, c).T)
+        _advance(step, like[k * c:, None], starts[k:], rows[k * c + 1:, None], mass[k * c:, None])
     except NumericalFailure:
-        scanned = False
-    if not scanned:
         try:
-            _advance(step, like[None], x0[None], rows[None, 1:], mass[None])
+            _advance(step, like[:, None], x0[None], rows[1:, None], mass[:, None])
         except NumericalFailure as exc:                 # one record: the step says it all
             raise NumericalFailure(exc.reason, exc.step) from None
     np.cumsum(np.log(mass) + peak, out=mass)
@@ -237,22 +226,37 @@ def wonham_filter_batch(model: HmmModel, prior, increments: Array, dt: float,
 
     ``increments`` has shape (n_paths, n_steps, m); returns beliefs of shape
     (n_paths, n_steps // keep_every + 1, d) at grid points ``0, keep_every,
-    2 keep_every, ...``.  Only the kept beliefs are stored, and likelihoods
-    are formed a block of steps at a time, so subsampling bounds the memory
-    of long batches.
+    2 keep_every, ...``: the blocks of :func:`wonham_blocks`, joined
+    time-major and viewed path-major; subsampling bounds their memory.
     """
+    blocks = wonham_blocks(model, prior, increments, dt, keep_every)
+    return np.concatenate(list(blocks)).transpose(1, 0, 2)
+
+
+def wonham_blocks(model: HmmModel, prior, increments: Array, dt: float, keep_every: int = 1):
+    """:func:`wonham_filter_batch` a block of steps at a time: the prior,
+    then each block's kept beliefs, time-major (kept points, n_paths, d)."""
     if keep_every < 1:
         raise ValueError("keep_every must be at least 1")
-    prior = as_simplex(prior)
-    n_paths, n_steps, _ = increments.shape
+    n_paths, d = increments.shape[0], model.dim
     step = expm(model.rate.entries.T * dt).T
-    out = np.empty((n_paths, n_steps // keep_every + 1, model.dim))
-    out[:, 0] = x = prior.entries
-    for b in range(0, n_steps, BATCH_BLOCK):
-        like = _log_likelihoods(model.obs.entries, increments[:, b:b + BATCH_BLOCK], dt)
-        np.exp(like, out=like)
-        x = _advance(step, like, x, out[:, b // keep_every + 1:], keep=keep_every, first=b)
-    return out
+    x = as_simplex(prior).entries
+    yield np.broadcast_to(x, (1, n_paths, d))
+    for b, log_like in _likelihood_blocks(model.obs.entries, increments, dt, n_paths * d):
+        c = log_like.shape[0]
+        rows = np.empty(((b + c) // keep_every - b // keep_every, n_paths, d))
+        x = _advance(step, np.exp(log_like, out=np.empty(log_like.shape)), x, rows, keep=keep_every,
+                     first=b)
+        yield rows
+
+
+def _likelihood_blocks(h: Array, increments: Array, dt: float, row_elements: int):
+    """``(b, log_like)`` per block of steps ``b, b + 1, ...`` of ``increments``
+    (n_paths, n_steps, m), viewed time-major (c, n_paths, d); ``c`` is
+    ``BATCH_BLOCK``, or more while ``c row_elements <= BLOCK_ELEMENTS``."""
+    c = max(BATCH_BLOCK, BLOCK_ELEMENTS // max(row_elements, 1))
+    for b in range(0, increments.shape[1], c):
+        yield b, _log_likelihoods(h, increments[:, b:b + c], dt).transpose(1, 0, 2)
 
 
 def zakai_filter(model: HmmModel, prior, obs) -> UnnormalizedPath:
@@ -279,49 +283,44 @@ def zakai_operator(model: HmmModel, obs) -> ZakaiOperatorPath:
     column's peak-shifted mass underflows.
     """
     _check_hmm_inputs(model, obs)
-    d = model.dim
-    psi, log_scale = np.empty((obs.n_steps + 1, d, d)), np.zeros((obs.n_steps + 1, d))
-    psi[0], k = np.eye(d), 0
     try:
-        for cols, logs in zakai_operator_blocks(model, obs.increments[None], obs.dt):
-            psi[k:k + logs.shape[2]] = cols[0].transpose(1, 2, 0)
-            log_scale[k:k + logs.shape[2]] = logs[0].T
-            k += logs.shape[2] - 1
+        blocks = list(zakai_operator_blocks(model, obs.increments[None], obs.dt))
     except NumericalFailure as exc:                     # one record: the step says it all
         raise NumericalFailure(exc.reason, exc.step) from None
-    return ZakaiOperatorPath(dt=obs.dt, psi=psi, log_scale=log_scale)
+    psi = [np.eye(model.dim)[None]] + [cols[0, :, 1:].transpose(1, 2, 0) for cols, _ in blocks]
+    scales = [np.zeros((1, model.dim))] + [logs[0, :, 1:].T for _, logs in blocks]
+    return ZakaiOperatorPath(dt=obs.dt, psi=np.concatenate(psi), log_scale=np.concatenate(scales))
 
 
 def zakai_operator_blocks(model: HmmModel, increments: Array, dt: float):
     """:func:`zakai_operator` of each record of ``increments`` (n_paths,
-    n_steps, m), ``BATCH_BLOCK`` steps at a time.
+    n_steps, m), a block of steps at a time.
 
     Each block of ``c`` steps yields ``(cols, log_scale)``, shaped (n_paths,
     d, c + 1, d) and (n_paths, d, c + 1): column ``j`` of path ``p``'s
     operator, normalized, and its log mass at the block's grid points, the
-    first of which ends the previous block.  A column underflow raises
-    :class:`~dualfilter.models.NumericalFailure` naming its step and path.
+    first of which ends the previous block.  Both view time-major storage
+    whose row ``p d + j`` is column ``j`` of path ``p``.  A column underflow
+    raises :class:`~dualfilter.models.NumericalFailure` naming its step and path.
     """
-    n_paths, n_steps, _ = increments.shape
-    d = model.dim
+    n_paths, d = increments.shape[0], model.dim
     step = expm(model.rate.entries.T * dt).T
-    x = np.tile(np.eye(d), (n_paths, 1))              # row p d + j: column j of path p
-    log_scale = np.zeros(n_paths * d)
-    for b in range(0, n_steps, BATCH_BLOCK):
-        log_like = _log_likelihoods(model.obs.entries, increments[:, b:b + BATCH_BLOCK], dt)
-        c = log_like.shape[1]
-        peak = log_like.max(axis=2)
-        rows, logs = np.empty((n_paths * d, c + 1, d)), np.empty((n_paths * d, c + 1))
-        rows[:, 0], logs[:, 0] = x, log_scale
+    x, log_scale = np.tile(np.eye(d), (n_paths, 1)), np.zeros(n_paths * d)
+    for b, log_like in _likelihood_blocks(model.obs.entries, increments, dt, n_paths * d * d):
+        c = log_like.shape[0]
+        peak = np.ascontiguousarray(np.moveaxis(log_like, 2, 0)).max(axis=0)   # max(axis=2) is slower
+        rows, logs = np.empty((c + 1, n_paths * d, d)), np.empty((c + 1, n_paths * d))
+        rows[0], logs[0] = x, log_scale
         try:
-            x = _advance(step, np.repeat(np.exp(log_like - peak[..., None]), d, axis=0), x,
-                         rows[:, 1:], logs[:, 1:], first=b)
+            _advance(step, np.repeat(np.exp(log_like - peak[..., None]), d, axis=1), rows[0],
+                     rows[1:], logs[1:], first=b)
         except NumericalFailure as exc:
             raise NumericalFailure(exc.reason, exc.step, exc.path // d) from None
-        logs[:, 1:] = np.log(logs[:, 1:]) + np.repeat(peak, d, axis=0)
-        np.cumsum(logs, axis=1, out=logs)
-        log_scale = logs[:, c]
-        yield rows.reshape(n_paths, d, c + 1, d), logs.reshape(n_paths, d, c + 1)
+        logs[1:] = np.log(logs[1:]) + np.repeat(peak, d, axis=1)
+        np.cumsum(logs, axis=0, out=logs)
+        x, log_scale = rows[c].copy(), logs[c].copy()   # copies: the block is freed once reduced
+        yield (rows.reshape(c + 1, n_paths, d, d).transpose(1, 2, 0, 3),
+               logs.reshape(c + 1, n_paths, d).transpose(1, 2, 0))
 
 
 def innovation_path(model: HmmModel, beliefs: BeliefPath, obs) -> Array:

@@ -104,9 +104,6 @@ class ObservationMatrix:
     def n_channels(self) -> int:
         return self.entries.shape[1]
 
-    def column(self, j: int) -> Array:
-        return self.entries[:, j]
-
 
 @dataclass(frozen=True)
 class SimplexVector:

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._csv import csv_text, grid_rows
-from .filters import wonham_filter_batch
+from .filters import wonham_blocks, wonham_filter_batch
 from .models import HmmModel, as_simplex, ergodic_classes, invariant_measure, q_matrices
 from .sim import batch_hmm_observations, n_steps_for
 
@@ -118,13 +118,21 @@ def _mean_stderr(x: Array) -> tuple[Array, Array]:
 
 
 def _twin_beliefs(model: HmmModel, priors: PriorPair, horizon: float, dt: float, n_paths: int,
-                  seed, keep_every: int = 1) -> tuple[Array, Array]:
-    """Kept beliefs of the filters from ``mu`` and from ``nu`` on one batch
-    of records simulated under ``mu``; the increments are freed on return."""
+                  seed, keep_every: int = 1):
+    """Kept beliefs of the filters from ``mu`` and from ``nu`` on one batch of
+    records simulated under ``mu``, as pairs of :func:`wonham_blocks`."""
     _, incs = batch_hmm_observations(model.with_prior(priors.mu), horizon, dt, n_paths, seed,
                                      measure="P")
-    return (wonham_filter_batch(model, priors.mu, incs, dt, keep_every),
-            wonham_filter_batch(model, priors.nu, incs, dt, keep_every))
+    yield from zip(wonham_blocks(model, priors.mu, incs, dt, keep_every),
+                   wonham_blocks(model, priors.nu, incs, dt, keep_every))
+
+
+def _over_paths(x: Array, stat) -> list[Array]:
+    """``stat`` over the paths of a time-major (c, n_paths, ...) block, summed row by row: numpy
+    does so for a leading axis only beside a longer second axis, so a spare column is added."""
+    pm = np.zeros((x.shape[1], x.shape[0] + 1) + x.shape[2:])
+    pm[:, :-1] = np.moveaxis(x, 0, 1)
+    return [v[:-1] for v in stat(pm)]
 
 
 def twin_filter_experiment(
@@ -142,26 +150,23 @@ def twin_filter_experiment(
     Each path simulates ``(X, Z)`` under the true prior ``mu``, filters the
     same record from both priors, and records ``(chi2, kl, tv)`` and,
     optionally, the gaps ``|pi^mu(f) - pi^nu(f)|^2`` for each requested
-    function.  ``keep_every`` subsamples the reporting grid; only the kept
-    beliefs are stored.
+    function.  ``keep_every`` subsamples the reporting grid; the beliefs
+    are reduced a block at a time and never stored whole.
     """
-    pm, pn = _twin_beliefs(model, priors, horizon, dt, n_paths, seed, keep_every)
-    chi2, kl, tv = divergences_batch(pm, pn)
-    chi2_m, chi2_se = _mean_stderr(chi2)
-    kl_m, kl_se = _mean_stderr(kl)
-    tv_m, tv_se = _mean_stderr(tv)
-    l2 = l2_se = None
-    if f_list is not None:
-        f_arr = np.atleast_2d(np.asarray(f_list, dtype=float))
-        gaps = (np.einsum("ptd,fd->fpt", pm, f_arr) - np.einsum("ptd,fd->fpt", pn, f_arr)) ** 2
-        l2 = gaps.mean(axis=1)
-        l2_se = gaps.std(axis=1, ddof=1) / np.sqrt(n_paths)
-    ratio = np.where(pn > SUPPORT_TOL, pm / np.where(pn > SUPPORT_TOL, pn, 1.0), 0.0)
-    return DivergenceTrace(
-        dt=dt * keep_every, chi2=chi2_m, kl=kl_m, tv=tv_m,
-        chi2_stderr=chi2_se, kl_stderr=kl_se, tv_stderr=tv_se,
-        l2_gaps=l2, l2_stderr=l2_se, gamma_max=float(ratio.max()),
-    )
+    f_arr = None if f_list is None else np.atleast_2d(np.asarray(f_list, dtype=float))
+    blocks, gamma = [], -np.inf
+    for pm, pn in _twin_beliefs(model, priors, horizon, dt, n_paths, seed, keep_every):
+        stats = [_over_paths(div, _mean_stderr) for div in divergences_batch(pm, pn)]
+        if f_arr is not None:
+            gaps = (np.einsum("tpd,fd->tpf", pm, f_arr) - np.einsum("tpd,fd->tpf", pn, f_arr)) ** 2
+            stats.append([v.T for v in _over_paths(gaps, lambda g: (
+                g.mean(axis=0), g.std(axis=0, ddof=1) / np.sqrt(n_paths)))])
+        ratio = np.where(pn > SUPPORT_TOL, pm / np.where(pn > SUPPORT_TOL, pn, 1.0), 0.0)
+        gamma = np.maximum(gamma, ratio.max(initial=-np.inf))   # NaN propagates, as in one max
+        blocks.append([v for pair in stats for v in pair])
+    (chi2, chi2_se, kl, kl_se, tv, tv_se, *l2) = (np.concatenate(c, axis=-1) for c in zip(*blocks))
+    return DivergenceTrace(dt * keep_every, chi2, kl, tv, chi2_se, kl_se, tv_se,
+                           *(l2 or (None, None)), gamma_max=float(gamma))
 
 
 def kl_supermartingale_check(
@@ -171,31 +176,35 @@ def kl_supermartingale_check(
     """Relative-entropy monotonicity report.
 
     Verifies (within 3 standard errors) that the mean posterior relative
-    entropy never exceeds the prior relative entropy, that it is
-    non-increasing across a coarse checkpoint grid, and that the
+    entropy never exceeds the prior relative entropy after time 0, that it
+    is non-increasing across a coarse checkpoint grid, and that the
     accumulated one-step-prediction energy
     ``0.5 E int |pi^mu(h) - pi^nu(h)|^2 dt`` stays below the prior relative
     entropy.  ``kl_lower_max`` (the largest ``mean - 3 se`` of the relative
-    entropy) and ``rise_lower_max`` (the largest ``mean - 3 se`` of its rise
-    between checkpoints) are the numbers the first two tests compare with
+    entropy over ``t > 0``; at ``t = 0`` it is the prior's) and
+    ``rise_lower_max`` (the largest ``mean - 3 se`` of its rise between
+    checkpoints) are the numbers the first two tests compare with
     ``kl_prior`` and 0.
     """
     kl0 = priors.kl()
     if not np.isfinite(kl0):
         raise ValueError("prior relative entropy is infinite")
-    n = n_steps_for(horizon, dt)
-    bel_mu, bel_nu = _twin_beliefs(model, priors, horizon, dt, n_paths, seed)
-    _, kl, _ = divergences_batch(bel_mu, bel_nu)
-    h = model.obs.entries
-    gap = (bel_mu[:, :-1] @ h - bel_nu[:, :-1] @ h)
-    path_energy = 0.5 * np.einsum("ptm,ptm->p", gap, gap) * dt
+    n, h = n_steps_for(horizon, dt), model.obs.entries
     check_idx = np.linspace(0, n, n_checkpoints + 1).round().astype(int)[1:]
-    kl_mean, kl_se = _mean_stderr(kl)
-    kl_lower_max = float(np.max(kl_mean - 3.0 * kl_se))
-    diffs = kl[:, check_idx[1:]] - kl[:, check_idx[:-1]]
-    d_mean = diffs.mean(axis=0)
-    d_se = diffs.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    rise_lower_max = float(np.max(d_mean - 3.0 * d_se, initial=-np.inf))
+    stats, at_checks, path_energy, k = [], [], np.zeros(n_paths), 0
+    for bel_mu, bel_nu in _twin_beliefs(model, priors, horizon, dt, n_paths, seed):
+        kl = divergences_batch(bel_mu, bel_nu)[1]
+        stats.append(_over_paths(kl, _mean_stderr))
+        at_checks.append(kl[check_idx[(check_idx >= k) & (check_idx < k + len(kl))] - k])
+        gap = bel_mu[:n - k] @ h - bel_nu[:n - k] @ h           # left points of the steps
+        path_energy += 0.5 * np.einsum("tpm,tpm->p", gap, gap) * dt
+        k += len(kl)
+    kl_mean, kl_se = (np.concatenate(c) for c in zip(*stats))
+    kl_lower_max = float(np.max(kl_mean[1:] - 3.0 * kl_se[1:]))
+    kl_checks = np.concatenate(at_checks).T         # the (paths, checkpoints) layout of kl[:, idx]
+    diffs = kl_checks[:, 1:] - kl_checks[:, :-1]
+    rise = diffs.mean(axis=0) - 3.0 * (diffs.std(axis=0, ddof=1) / np.sqrt(n_paths))
+    rise_lower_max = float(np.max(rise, initial=-np.inf))
     energy = float(path_energy.mean())
     energy_se = float(path_energy.std(ddof=1) / np.sqrt(n_paths))
     return {
@@ -455,8 +464,8 @@ def ergodic_class_detection(
     if len(classes) < 1:
         raise ValueError("no closed classes found")
     n = n_steps_for(horizon, dt)
-    work = model.with_prior(priors.mu)
-    paths, incs = batch_hmm_observations(work, horizon, dt, n_paths, seed, measure="P")
+    paths, incs = batch_hmm_observations(model.with_prior(priors.mu), horizon, dt, n_paths, seed,
+                                         measure="P")
     bel_nu = wonham_filter_batch(model, priors.nu, incs, dt, keep_every=n)   # rows 0 and n
     nu = priors.nu
     indicators = np.stack([np.isin(np.arange(model.dim), sorted(cls)).astype(float) for cls in classes])
@@ -467,7 +476,6 @@ def ergodic_class_detection(
     detection_stderr = err.std(axis=0, ddof=1) / np.sqrt(n_paths)
 
     # decomposition identity on each path, at the terminal time
-    max_gap = 0.0
     recomposed = np.zeros_like(bel_nu[:, -1, :])
     for k, cls in enumerate(classes):
         mass = float(indicators[k] @ nu)

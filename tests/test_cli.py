@@ -247,6 +247,16 @@ class TestRun:
             c = checks[name]
             assert c["passed"] == (c["value"] <= c["threshold"] + 1e-12), c
 
+    def test_kl_bound_reports_its_margin(self, runner, tmp_path):
+        # at t = 0 the relative entropy is the prior's with stderr 0, so a
+        # maximum over t = 0 would report the threshold itself
+        res = runner.invoke(main, ["stability", "doeblin_demo", "--paths", "200", "--horizon", "2",
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        checks = {c["name"]: c for c in json.loads((tmp_path / "summary.json").read_text())["checks"]}
+        kl = checks["kl_bounded_by_prior"]
+        assert kl["passed"] and kl["value"] < kl["threshold"]
+
     def test_detect_classes_artifacts(self, runner, tmp_path):
         res = invoke(runner, "detect-classes", "--horizon", "10", "--dt", "0.02",
                      "--paths", "100", "--out", str(tmp_path))

@@ -263,6 +263,20 @@ class TestGramian:
             tracemalloc.stop()
         assert peak < 16e6
 
+    def test_column_underflow_names_its_step_and_path(self, monkeypatch):
+        # frozen chain, state 2's likelihood exp(-800) of state 1's only on
+        # path 3's step 2: its column (row 3 d + 1 = 7 of the stream) fails
+        # there, and the failure names the path, not the row
+        import dualfilter.duality as duality
+        from dualfilter.models import NumericalFailure
+        m = make_hmm(np.zeros((2, 2)), [0.0, 40.0])
+        incs = np.full((5, 6, 1), 20.0)
+        incs[3, 2] = 0.0
+        monkeypatch.setattr(duality, "batch_hmm_observations", lambda *args, **kw: (None, incs))
+        with pytest.raises(NumericalFailure, match=r"underflow \(step 2, path 3\)$") as exc:
+            gramian_mc(m, 6.0, 1.0, 5, seed=0)
+        assert (exc.value.step, exc.value.path) == (2, 3)
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestDualLqLinearGaussian:

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 
 from conftest import make_hmm, random_hmm, simplex_vectors
 from dualfilter.catalog import counter_example, doeblin_demo, two_class_demo, two_state
-from dualfilter.stability import (PriorPair, beta_process, chi2_bound_check, divergences,
-                                  ergodic_class_detection, kl_supermartingale_check, pi_constant,
-                                  stability_index, twin_filter_experiment)
+from dualfilter.filters import wonham_filter_batch
+from dualfilter.sim import batch_hmm_observations
+from dualfilter.stability import (PriorPair, _mean_stderr, beta_process, chi2_bound_check,
+                                  divergences, divergences_batch, ergodic_class_detection,
+                                  kl_supermartingale_check, pi_constant, stability_index,
+                                  twin_filter_experiment)
 from dualfilter.models import invariant_measure
 
 
@@ -287,3 +290,57 @@ class TestChi2Bound:
         pair = PriorPair.of([0.5, 0.5, 0.0], np.full(3, 1 / 3))
         with pytest.raises(ValueError, match="lower bound"):
             chi2_bound_check(m, pair, 1.0, 0.01, 10, seed=19, c=1.0)
+
+
+class TestStreamedTwinReductions:
+    """The twin reductions run a block of grid points at a time; they must
+    give what the full (paths, times, d) belief arrays give."""
+
+    @staticmethod
+    def full_beliefs(model, pair, horizon, dt, n_paths, seed, keep=1):
+        # the path-major arrays the reductions were written for
+        _, incs = batch_hmm_observations(model.with_prior(pair.mu), horizon, dt, n_paths, seed,
+                                         measure="P")
+        return (np.ascontiguousarray(wonham_filter_batch(model, pair.mu, incs, dt, keep)),
+                np.ascontiguousarray(wonham_filter_batch(model, pair.nu, incs, dt, keep)))
+
+    # 103 steps is no multiple of the 16-step block; 5 and 7 do not divide it,
+    # and 40 keeps at most one point per block
+    @pytest.mark.parametrize("keep", [1, 5, 7, 40])
+    def test_twin_experiment_matches_full_arrays(self, keep):
+        m = random_hmm(np.random.default_rng(31), d=3, m=2)
+        pair = PriorPair.of([0.6, 0.3, 0.1], [0.2, 0.3, 0.5])
+        f = np.array([[1.0, 0.0, 0.0], [0.5, -1.0, 2.0]])
+        trace = twin_filter_experiment(m, pair, 1.03, 0.01, 40, seed=12, f_list=f, keep_every=keep)
+        pm, pn = self.full_beliefs(m, pair, 1.03, 0.01, 40, 12, keep)
+        for name, div in zip(("chi2", "kl", "tv"), divergences_batch(pm, pn)):
+            mean, se = _mean_stderr(div)
+            assert np.array_equal(getattr(trace, name), mean)
+            assert np.array_equal(getattr(trace, name + "_stderr"), se)
+        gaps = (np.einsum("ptd,fd->fpt", pm, f) - np.einsum("ptd,fd->fpt", pn, f)) ** 2
+        assert np.array_equal(trace.l2_gaps, gaps.mean(axis=1))
+        assert np.array_equal(trace.l2_stderr, gaps.std(axis=1, ddof=1) / np.sqrt(40))
+        ratio = np.where(pn > 1e-15, pm / np.where(pn > 1e-15, pn, 1.0), 0.0)
+        assert trace.gamma_max == ratio.max()
+        assert trace.dt == 0.01 * keep
+
+    def test_kl_check_matches_full_arrays(self):
+        m = doeblin_demo()
+        pair = PriorPair.of([0.5, 0.3, 0.2], [1 / 3, 1 / 3, 1 / 3])
+        rep = kl_supermartingale_check(m, pair, 1.03, 0.01, 60, seed=8, n_checkpoints=7)
+        pm, pn = self.full_beliefs(m, pair, 1.03, 0.01, 60, 8)
+        _, kl, _ = divergences_batch(pm, pn)
+        kl_mean, kl_se = _mean_stderr(kl)
+        assert np.array_equal(rep["kl_mean"], kl_mean)
+        assert np.array_equal(rep["kl_stderr"], kl_se)
+        assert rep["kl_lower_max"] == np.max(kl_mean[1:] - 3.0 * kl_se[1:])
+        idx = np.linspace(0, 103, 8).round().astype(int)[1:]
+        diffs = kl[:, idx[1:]] - kl[:, idx[:-1]]
+        rise = np.max(diffs.mean(axis=0) - 3.0 * diffs.std(axis=0, ddof=1) / np.sqrt(60))
+        assert rep["rise_lower_max"] == rise
+        h = m.obs.entries
+        gap = pm[:, :-1] @ h - pn[:, :-1] @ h
+        energy = 0.5 * np.einsum("ptm,ptm->p", gap, gap) * 0.01
+        assert abs(rep["obs_energy"] - energy.mean()) <= 1e-14 * energy.mean()
+        assert abs(rep["obs_energy_stderr"] - energy.std(ddof=1) / np.sqrt(60)) \
+            <= 1e-14 * rep["obs_energy_stderr"]
