@@ -464,8 +464,8 @@ def ergodic_class_detection(
     if len(classes) < 1:
         raise ValueError("no closed classes found")
     n = n_steps_for(horizon, dt)
-    paths, incs = batch_hmm_observations(model.with_prior(priors.mu), horizon, dt, n_paths, seed,
-                                         measure="P")
+    work = model.with_prior(priors.mu)
+    paths, incs = batch_hmm_observations(work, horizon, dt, n_paths, seed, measure="P")
     bel_nu = wonham_filter_batch(model, priors.nu, incs, dt, keep_every=n)   # rows 0 and n
     nu = priors.nu
     indicators = np.stack([np.isin(np.arange(model.dim), sorted(cls)).astype(float) for cls in classes])
