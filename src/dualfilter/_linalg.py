@@ -5,6 +5,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
+from .models import NumericalFailure
+
+PROPAGATOR_POWERS = 64    # steps of a linear-fractional flow between restarts, at most
+PROPAGATOR_GROWTH = 1e2   # largest norm of a power the flow steps with
+
 
 def orth_basis(vectors: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis (columns) of the span of the given column vectors.
@@ -79,6 +84,40 @@ def rk4(rhs, y0, n: int, h: float) -> np.ndarray:
         k4 = rhs(y + h * k3, k, 2)
         ys[k + 1] = y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     return ys
+
+
+def fractional_flow(powers: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
+    """``n`` steps of a linear-fractional (Riccati) flow from the symmetric
+    ``start``: ``Sigma = Y X^{-1}`` with ``[X; Y] = Phi^l [I; Sigma_s]``.
+
+    ``powers`` stacks ``Phi^1 ... Phi^L``, the (2d, 2d) propagator of l
+    steps.  A chunk of steps is one batched product and one batched solve;
+    the next chunk restarts from its last ``Sigma``, which keeps ``X`` well
+    conditioned (Kenney & Leipnik 1985).  A chunk ends before the first power
+    whose norm exceeds ``PROPAGATOR_GROWTH``, since ``cond(X)`` grows with
+    ``|Phi^l| |Phi^{-l}|``.  Returns all ``n + 1`` states, symmetrized; a
+    non-finite or singular ``X`` raises :class:`NumericalFailure` at its
+    first step.
+    """
+    d = start.shape[-1]
+    with np.errstate(all="ignore"):                   # a non-finite norm ends the chunk
+        norms = np.linalg.norm(powers, axis=(1, 2))
+    chunk = max(1, int(np.cumprod(norms <= PROPAGATOR_GROWTH).sum()))
+    out = np.empty((n + 1, d, d))
+    out[0] = symmetrize(start)
+    for b in range(0, n, chunk):
+        c = min(chunk, n - b)
+        xy = powers[:c, :, :d] + powers[:c, :, d:] @ out[b]
+        x = xy[:, :d]
+        with np.errstate(all="ignore"):
+            ok = np.isfinite(x).all(axis=(1, 2)) & (np.linalg.det(x) != 0.0)
+            if ok.all():                              # Sigma^T = X^{-T} Y^T
+                sig = np.linalg.solve(x.swapaxes(1, 2), xy[:, d:].swapaxes(1, 2))
+                ok = np.isfinite(sig).all(axis=(1, 2))
+        if not ok.all():
+            raise NumericalFailure("Riccati propagator singular", step=b + 1 + int(np.argmin(ok)))
+        out[b + 1:b + c + 1] = symmetrize(sig)
+    return out
 
 
 def affine_scan(m, b, x0) -> np.ndarray:

@@ -36,7 +36,7 @@ from .filters import innovation_path, kalman_bucy, solve_are, zakai_filter
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, model_from_dict
 from .sim import (GRID_ALIGN_TOL, n_steps_for, observation_csv, simulate_hmm,
                   simulate_linear_gaussian, state_path_csv)
-from .smoothing import _discrete_kalman, _fraser_potter, _rts, forward_backward_smoother
+from .smoothing import discrete_kalman, forward_backward_smoother, fraser_potter_sweep, rts_sweep
 from .stability import (DECOMPOSITION_TOL, PriorPair, chi2_bound_check,
                         ergodic_class_detection, kl_supermartingale_check, pi_constant)
 
@@ -202,8 +202,8 @@ def _run_smooth_hmm(config: ExperimentConfig, model: HmmModel):
 
 def _run_smooth_lg(config: ExperimentConfig, model: LinearGaussianModel):
     _, obs = simulate_linear_gaussian(model, config.horizon, config.dt, config.seed)
-    kf = _discrete_kalman(model, obs)                 # one filter pass for both smoothers
-    r, f = _rts(kf, obs.dt), _fraser_potter(model, kf, obs.dt)
+    kf = discrete_kalman(model, obs)                  # one filter pass for both smoothers
+    r, f = rts_sweep(kf), fraser_potter_sweep(kf)
     gap = float(np.abs(r.smoothed_means - f.smoothed_means).max())
     checks = [Check("two_filter_matches_rts", gap <= 1e-6, gap, 1e-6)]
     return checks, {"terminal": r.smoothed_means[-1]}, {"smoothed.csv": r.csv()}

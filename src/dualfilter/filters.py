@@ -36,7 +36,7 @@ from numpy.typing import NDArray
 from scipy.linalg import LinAlgError, expm, solve_continuous_are
 
 from ._csv import csv_text, grid_rows
-from ._linalg import affine_scan, rk4, symmetrize
+from ._linalg import PROPAGATOR_POWERS, affine_scan, fractional_flow, rk4
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, as_simplex, q_matrices
 
 Array = NDArray[np.float64]
@@ -44,7 +44,7 @@ Array = NDArray[np.float64]
 MASS_FLOOR = 1e-300
 SCAN_FLOOR = 1e-200      # smallest chunk-start mass the chunked scan trusts
 BATCH_BLOCK = 16         # fewest steps of likelihoods a batch forms at once
-BLOCK_ELEMENTS = 512     # row elements a longer block may hold
+BLOCK_ELEMENTS = 2 ** 15  # row elements a longer block may hold
 
 
 @dataclass(frozen=True)
@@ -359,14 +359,26 @@ def _check_psd(covs: Array) -> None:
                                step=int(bad[0]))
 
 
-def _rk4_riccati(model: LinearGaussianModel, sigma0: Array, n_steps: int, dt: float) -> Array:
-    a, h, q = model.a_mat, model.h_mat, model.noise_cov
-    return rk4(lambda s, k, i: riccati_rhs(a, h, q, s), symmetrize(sigma0), n_steps, dt)
+def _riccati_flow(model: LinearGaussianModel, sigma0: Array, n_steps: int, dt: float) -> Array:
+    """Riccati solution at ``n_steps + 1`` grid points ``dt`` apart, exact up to roundoff.
+
+    For constant coefficients ``Sigma_t = Y_t X_t^{-1}``, where ``[X; Y]``
+    solves the linear system ``[X; Y]' = Ham [X; Y]`` with the Hamiltonian
+    ``Ham = [[-A, H H^T], [Q, A^T]]`` (Davison & Maki 1973); the propagator of
+    ``l`` steps is ``expm(Ham l dt)``, one ``expm`` per power, which
+    :func:`~dualfilter._linalg.fractional_flow` runs chunk by chunk.
+    """
+    a, h = model.a_mat, model.h_mat
+    ham = np.block([[-a, h @ h.T], [model.noise_cov, a.T]])
+    steps = np.arange(1, PROPAGATOR_POWERS + 1)
+    with np.errstate(all="ignore"):                   # the flow steps only with powers it trusts
+        powers = expm(ham * (dt * steps)[:, None, None])
+    return fractional_flow(powers, sigma0, n_steps)
 
 
 def riccati_half_grid(model: LinearGaussianModel, sigma0: Array, n_steps: int, dt: float) -> Array:
     """Riccati solution sampled at half-step resolution, shape (2 n + 1, d, d)."""
-    return _rk4_riccati(model, sigma0, 2 * n_steps, dt / 2.0)
+    return _riccati_flow(model, sigma0, 2 * n_steps, dt / 2.0)
 
 
 def _kalman_means(trans: Array, h: Array, covs: Array, increments: Array, x0: Array,
@@ -381,11 +393,12 @@ def _kalman_means(trans: Array, h: Array, covs: Array, increments: Array, x0: Ar
 
 
 def kalman_bucy(model: LinearGaussianModel, obs) -> GaussianBeliefPath:
-    """Kalman-Bucy filter: Riccati covariance by RK4, mean by Euler in ``dZ``."""
+    """Kalman-Bucy filter: exact Riccati covariance (:func:`_riccati_flow`),
+    mean by Euler in ``dZ``."""
     if obs.n_channels != model.n_channels:
         raise ValueError("observation channel count does not match the model")
     n, dt = obs.n_steps, obs.dt
-    covs = _rk4_riccati(model, model.cov0, n, dt)
+    covs = _riccati_flow(model, model.cov0, n, dt)
     _check_psd(covs)
     means = _kalman_means(np.eye(model.dim) + model.a_mat * dt, model.h_mat, covs,
                           obs.increments, model.mean0, dt)

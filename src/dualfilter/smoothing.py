@@ -16,26 +16,29 @@ Every mean of the linear side is one affine recursion
 ``x_{k+1} = x_k M_k + b_k`` (:func:`~dualfilter._linalg.affine_scan`): the
 filtered means, the RTS sweep, the Fraser-Potter information vector, both
 minimum-energy passes and :func:`reintegrate` (an RK4 step of a linear ODE
-is exactly such a map).  The covariances do not depend on the record, and
-three discretizations of them remain, because each serves a different check:
-:func:`~dualfilter.filters.kalman_bucy` integrates the Riccati flow by RK4
-beside its Euler mean update in ``dZ``; :func:`_discrete_kalman` is the
-exact filter of the discretized model, on which RTS and Fraser-Potter must
-agree to roundoff; :func:`~dualfilter.filters.riccati_half_grid` integrates
-it forward on the half grid, and the minimum-energy passes start every RK4
-step from its nodes.
+is exactly such a map).  The covariances do not depend on the record; each
+is a linear-fractional flow, run by one kernel
+(:func:`~dualfilter._linalg.fractional_flow`).  The continuous Riccati flow
+is exact, on the grid for :func:`~dualfilter.filters.kalman_bucy` beside its
+Euler mean update in ``dZ``, and on the half grid
+(:func:`~dualfilter.filters.riccati_half_grid`) for the minimum-energy
+passes, which start every RK4 step from its nodes.  :func:`discrete_kalman`
+is the exact filter of the discretized model, whose pass the RTS and
+Fraser-Potter sweeps share and on which they must agree to roundoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import expm
 
 from ._csv import csv_text, grid_rows
-from ._linalg import affine_scan, rk4, simpson, symmetrize, van_loan_discretization
+from ._linalg import (PROPAGATOR_POWERS, affine_scan, fractional_flow, rk4, simpson, symmetrize,
+                      van_loan_discretization)
 from .filters import _log_likelihoods, _scan, riccati_half_grid, riccati_rhs
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, as_simplex
 
@@ -125,41 +128,62 @@ def forward_backward_smoother(model: HmmModel, obs, prior=None) -> SmoothingPath
 
 # -- linear-Gaussian smoothers --------------------------------------------------
 
-def _discrete_kalman(model: LinearGaussianModel, obs):
+@dataclass(frozen=True)
+class KalmanPass:
+    """One Kalman filter pass over the exactly discretized model, which the
+    RTS and Fraser-Potter sweeps share (:func:`discrete_kalman`)."""
+
+    dt: float
+    f: Array               # one-step transition, F = expm(A^T dt)
+    qd: Array              # one-step process-noise covariance
+    h: Array               # observation matrix H
+    y: Array               # measurements dZ_k / dt, (n, m)
+    means: Array           # filtered means x_f, (n + 1, d)
+    filter_covs: Array     # P_f(k), (n + 1, d, d)
+    predicted_covs: Array  # P_p(k) for k = 1..n, (n, d, d)
+
+
+def _powers(m: Array) -> Array:
+    """``m^1 ... m^PROPAGATOR_POWERS`` by repeated products; the flow steps
+    only with the powers it trusts, so an overflow past them is harmless."""
+    with np.errstate(all="ignore"):
+        return np.stack(list(accumulate([m] * PROPAGATOR_POWERS, np.matmul)))
+
+
+def discrete_kalman(model: LinearGaussianModel, obs) -> KalmanPass:
     """Kalman filter for the exactly discretized model.
 
     The state transition over a step is exact (Van Loan); the measurement at
     node ``k >= 1`` is ``dZ_{k-1}/dt``, a noisy reading of ``H^T x_k`` with
-    noise covariance ``I/dt``.  The covariances and gains do not depend on
-    the record; the filtered means are one affine scan.  One check after
-    the loop names the first ill-conditioned innovation covariance.
+    noise covariance ``R = I/dt``.  The covariances do not depend on the
+    record: ``P_f`` is the linear-fractional flow of the one-step symplectic
+    matrix ``[[I, S], [0, I]] [[F^{-T}, 0], [Qd F^{-T}, F]]``,
+    ``S = H R^{-1} H^T`` (:func:`~dualfilter._linalg.fractional_flow`), and
+    the predicted and innovation covariances and the gains are batched
+    operations on its stack.  The filtered means are one affine scan.  A
+    singular step of the flow, or an ill-conditioned innovation covariance,
+    raises at its first step.
     """
     n, dt = obs.n_steps, obs.dt
     d, m = model.dim, model.n_channels
     f, qd = van_loan_discretization(model.a_mat.T, model.noise_cov, dt)
     h = model.h_mat
     r = np.eye(m) / dt
-    pf = np.empty((n + 1, d, d)); pp = np.empty((n + 1, d, d))
-    gains_t = np.empty((n, m, d))                         # G_k^T
-    innov = np.empty((n, m, m))
-    pf[0] = symmetrize(model.cov0)
-    y = obs.increments / dt
-    try:
-        with np.errstate(all="ignore"):                   # steps past a bad one may overflow
-            for k in range(1, n + 1):
-                pp[k] = symmetrize(f @ pf[k - 1] @ f.T + qd)
-                innov[k - 1] = h.T @ pp[k] @ h + r
-                gains_t[k - 1] = np.linalg.solve(innov[k - 1].T, (pp[k] @ h).T)
-                pf[k] = symmetrize((np.eye(d) - gains_t[k - 1].T @ h.T) @ pp[k])
-    except np.linalg.LinAlgError:                         # singular from step k on
-        innov[k - 1:] = 0.0
+    s, f_inv_t = h @ np.linalg.solve(r, h.T), np.linalg.inv(f).T
+    step = np.block([[f_inv_t + s @ qd @ f_inv_t, s @ f], [qd @ f_inv_t, f]])
+    pf = fractional_flow(_powers(step), model.cov0, n)
+    with np.errstate(all="ignore"):                   # steps past a bad one may overflow
+        pp = symmetrize(f @ pf[:-1] @ f.T + qd)
+        innov = h.T @ pp @ h + r
     finite = np.isfinite(innov).all(axis=(1, 2))[:, None, None]   # non-finite counts as singular
     bad = np.flatnonzero(~(np.linalg.cond(np.where(finite, innov, 0.0)) <= 1e12))
     if bad.size:
         raise NumericalFailure("innovation covariance ill-conditioned", step=int(bad[0]) + 1)
+    gains_t = np.linalg.solve(innov.transpose(0, 2, 1), (pp @ h).transpose(0, 2, 1))   # G_k^T
+    y = obs.increments / dt
     # x_f(k) = (I - G_k H^T) F x_f(k-1) + G_k y_{k-1}, in row form
     xf = affine_scan(f.T - (f.T @ h) @ gains_t, np.einsum("km,kmd->kd", y, gains_t), model.mean0)
-    return f, qd, xf, pf, pp, y, r
+    return KalmanPass(dt=dt, f=f, qd=qd, h=h, y=y, means=xf, filter_covs=pf, predicted_covs=pp)
 
 
 def rts_smoother(model: LinearGaussianModel, obs) -> GaussianSmoothingPath:
@@ -170,26 +194,26 @@ def rts_smoother(model: LinearGaussianModel, obs) -> GaussianSmoothingPath:
     recursion.  Exact for the discretized model, so it doubles as the oracle
     for the two-filter route.
     """
-    return _rts(_discrete_kalman(model, obs), obs.dt)
+    return rts_sweep(discrete_kalman(model, obs))
 
 
-def _rts(kf, dt: float) -> GaussianSmoothingPath:
-    """RTS sweep over a :func:`_discrete_kalman` result."""
-    f, _, xf, pf, pp, _, _ = kf
-    cond = np.linalg.cond(pp[1:])
+def rts_sweep(kf: KalmanPass) -> GaussianSmoothingPath:
+    """The RTS sweep of :func:`rts_smoother` over a :func:`discrete_kalman` pass."""
+    f, xf, pf, pp = kf.f, kf.means, kf.filter_covs, kf.predicted_covs
+    cond = np.linalg.cond(pp)
     bad = np.flatnonzero(~(np.isfinite(cond) & (cond <= 1e12)))
     if bad.size:                                          # the sweep meets the last one first
         raise NumericalFailure("predicted covariance ill-conditioned", step=int(bad[-1]))
     # G_k^T = P_p(k+1)^{-T} (P_f(k) F^T)^T
-    gains_t = np.linalg.solve(pp[1:].transpose(0, 2, 1), (pf[:-1] @ f.T).transpose(0, 2, 1))
+    gains_t = np.linalg.solve(pp.transpose(0, 2, 1), (pf[:-1] @ f.T).transpose(0, 2, 1))
     ps = pf.copy()
     for k in range(len(gains_t) - 1, -1, -1):
         gain = gains_t[k].T
-        ps[k] = symmetrize(pf[k] + gain @ (ps[k + 1] - pp[k + 1]) @ gain.T)
+        ps[k] = symmetrize(pf[k] + gain @ (ps[k + 1] - pp[k]) @ gain.T)
     # backward: x_s(k) = x_s(k+1) G_k^T + x_f(k) - x_p(k+1) G_k^T, with x_p(k+1) = F x_f(k)
     forcing = xf[:-1] - np.einsum("kd,kde->ke", xf[:-1] @ f.T, gains_t)
     xs = affine_scan(gains_t[::-1], forcing[::-1], xf[-1])[::-1]
-    return GaussianSmoothingPath(dt=dt, smoothed_means=xs, filter_means=xf,
+    return GaussianSmoothingPath(dt=kf.dt, smoothed_means=xs, filter_means=xf,
                                  smoothed_covs=ps, filter_covs=pf)
 
 
@@ -203,23 +227,27 @@ def fraser_potter_smoother(model: LinearGaussianModel, obs) -> GaussianSmoothing
     state equals the filtered state by construction.  Requires the filter
     covariances to stay invertible along the path.
     """
-    return _fraser_potter(model, _discrete_kalman(model, obs), obs.dt)
+    return fraser_potter_sweep(discrete_kalman(model, obs))
 
 
-def _fraser_potter(model: LinearGaussianModel, kf, dt: float) -> GaussianSmoothingPath:
-    """Two-filter combination over a :func:`_discrete_kalman` result."""
-    f, qd, xf, pf, pp, y, r = kf
-    n, d = y.shape[0], model.dim
-    h = model.h_mat
-    ri = np.linalg.inv(r)
-    lam = np.zeros((n + 1, d, d))
-    pulls_t = np.empty((n, d, d))
-    eye = np.eye(d)
-    for k in range(n - 1, -1, -1):
-        lam_meas = lam[k + 1] + h @ ri @ h.T
-        pull = np.linalg.solve((eye + lam_meas @ qd).T, f).T
-        pulls_t[k] = pull.T
-        lam[k] = symmetrize(pull @ lam_meas @ f)
+def fraser_potter_sweep(kf: KalmanPass) -> GaussianSmoothingPath:
+    """The two-filter combination of :func:`fraser_potter_smoother` over a
+    :func:`discrete_kalman` pass.
+
+    ``Lambda_k = pull_k (Lambda_{k+1} + S) F`` with
+    ``pull_k = F^T (I + (Lambda_{k+1} + S) Qd)^{-1}`` and ``S = H R^{-1} H^T``
+    is a linear-fractional flow backward from ``Lambda_n = 0``, of the
+    one-step matrix ``[[F^{-1}, F^{-1} Qd], [0, F^T]] [[I, 0], [S, I]]``; the
+    pulls are then one batched solve.
+    """
+    f, qd, h, y, xf, pf = kf.f, kf.qd, kf.h, kf.y, kf.means, kf.filter_covs
+    n, d = y.shape[0], f.shape[0]
+    ri = np.linalg.inv(np.eye(h.shape[1]) / kf.dt)
+    s = h @ ri @ h.T
+    f_inv = np.linalg.inv(f)
+    step = np.block([[f_inv + f_inv @ qd @ s, f_inv @ qd], [f.T @ s, f.T]])
+    lam = fractional_flow(_powers(step), np.zeros((d, d)), n)[::-1]
+    pulls_t = np.linalg.solve((np.eye(d) + (lam[1:] + s) @ qd).transpose(0, 2, 1), f)
     # eta_k = pull_k (eta_{k+1} + H R^{-1} y_k), backward from eta_n = 0
     forcing = np.einsum("kd,kde->ke", y @ (h @ ri).T, pulls_t)
     eta = affine_scan(pulls_t[::-1], forcing[::-1], np.zeros(d))[::-1]
@@ -230,7 +258,7 @@ def _fraser_potter(model: LinearGaussianModel, kf, dt: float) -> GaussianSmoothi
     pfi = np.linalg.inv(pf)
     ps = symmetrize(np.linalg.inv(pfi + lam))
     xs = (ps @ (pfi @ xf[:, :, None] + eta[:, :, None]))[:, :, 0]
-    return GaussianSmoothingPath(dt=dt, smoothed_means=xs, filter_means=xf,
+    return GaussianSmoothingPath(dt=kf.dt, smoothed_means=xs, filter_means=xf,
                                  smoothed_covs=ps, filter_covs=pf)
 
 

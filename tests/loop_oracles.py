@@ -8,9 +8,12 @@ forward kernel of ``dualfilter.filters`` (for the dual solve, the
 linear-Gaussian means and the backward passes, ``dualfilter._linalg.affine_scan``;
 for the sampler, ``dualfilter.sim.batch_hmm_observations``) replaces.  They
 are slow (Python runs once per step, jump or path) and exist only as test
-oracles.  The backward-pass oracles integrate the covariance (and the
-filter mean) backward again beside the state, the joint RK4 solve that the
-affine passes replaced; that re-trace is unstable over long horizons.
+oracles.  The dual-LQ backward-pass oracle integrates the covariance
+backward again beside the state, the joint RK4 solve that the affine passes
+replaced; that re-trace is unstable over long horizons.  The minimum-energy
+oracle takes its joint RK4 steps one at a time from the forward covariance
+nodes.  ``rk4_riccati`` is the RK4 Riccati integrator that the exact
+linear-fractional flow replaced.
 """
 
 import numpy as np
@@ -20,7 +23,7 @@ from scipy.special import logsumexp
 from dualfilter._linalg import drift_step, rk4, simpson, symmetrize, van_loan_discretization
 from dualfilter._rng import path_rng
 from dualfilter.filters import (MASS_FLOOR, BeliefPath, GaussianBeliefPath, UnnormalizedPath,
-                                ZakaiOperatorPath, _check_psd, _rk4_riccati, chain_riccati,
+                                ZakaiOperatorPath, _check_psd, chain_riccati, riccati_half_grid,
                                 riccati_rhs)
 from dualfilter.models import NumericalFailure, as_simplex
 from dualfilter.sim import ABSORBING_RATE, ObservationPath, n_steps_for
@@ -227,9 +230,18 @@ def batch_hmm_loop(model, horizon, dt, n_paths, seed, measure="P"):
 
 # -- linear-Gaussian means ------------------------------------------------------
 
+def rk4_riccati(model, sigma0, n_steps, dt):
+    """``n_steps`` RK4 steps of the Riccati flow, which the exact
+    linear-fractional flow of ``dualfilter.filters`` replaced."""
+    a, h, q = model.a_mat, model.h_mat, model.noise_cov
+    return rk4(lambda s, k, i: riccati_rhs(a, h, q, s), symmetrize(sigma0), n_steps, dt)
+
+
 def kalman_bucy_loop(model, obs) -> GaussianBeliefPath:
+    """Euler mean loop over RK4 covariances at a quarter of the grid step,
+    where RK4's own error is far below the exact flow's roundoff."""
     n, dt = obs.n_steps, obs.dt
-    covs = _rk4_riccati(model, model.cov0, n, dt)
+    covs = rk4_riccati(model, model.cov0, 4 * n, dt / 4.0)[::4]
     _check_psd(covs)
     means = np.empty((n + 1, model.dim))
     means[0] = model.mean0
@@ -380,25 +392,31 @@ def _reference_rhs(a, h, q, v, z):
 
 
 def minimum_energy_rk4(model, obs):
-    """Minimum-energy trajectory with the covariance and the filter mean
-    solved jointly forward, then integrated backward again beside the state."""
+    """Minimum-energy trajectory, one joint RK4 step at a time: forward on
+    ``[Sigma; xhat]``, backward on ``[Sigma; xhat; x]``, each step started from
+    the covariance node of ``riccati_half_grid`` on its side."""
     n, dt = obs.n_steps, obs.dt
     a, h, q, sig_m = model.a_mat, model.h_mat, model.noise_cov, model.sigma
     zd = obs.increments / dt
-    v = rk4(lambda v, k, s: _reference_rhs(a, h, q, v, zd[k // 2]),
-            np.vstack((symmetrize(model.cov0), model.mean0)), 2 * n, dt / 2.0)
-    sig_half, xh = v[:, :-1], v[:, -1]
+    sig_half = riccati_half_grid(model, model.cov0, n, dt)
     lam_min = np.linalg.eigvalsh(sig_half).min()
     if lam_min < 1e-10:
         raise NumericalFailure("covariance numerically singular along the path")
-    zd_back = zd[::-1]
 
-    def rhs(v, k, s):
+    def backward_rhs(v, z):
         sig, xr, xv = v[:-2], v[-2], v[-1]
-        return np.concatenate((_reference_rhs(a, h, q, v[:-1], zd_back[k // 2]),
+        return np.concatenate((_reference_rhs(a, h, q, v[:-1], z),
                                [a.T @ xv + q @ np.linalg.solve(sig, xv - xr)]))
 
-    x = rk4(rhs, np.vstack((sig_half[-1], xh[-1], xh[-1])), 2 * n, -dt / 2.0)[::-1, -1]
+    xh = np.empty((2 * n + 1, model.dim))
+    xh[0] = model.mean0
+    for j in range(2 * n):
+        v = np.vstack((sig_half[j], xh[j]))
+        xh[j + 1] = rk4(lambda v, k, s: _reference_rhs(a, h, q, v, zd[j // 2]), v, 1, dt / 2.0)[1, -1]
+    x = xh.copy()
+    for j in range(2 * n - 1, -1, -1):
+        v = np.vstack((sig_half[j + 1], xh[j + 1], x[j + 1]))
+        x[j] = rk4(lambda v, k, s: backward_rhs(v, zd[j // 2]), v, 1, -dt / 2.0)[1, -1]
     controls = np.linalg.solve(sig_half, (x - xh)[:, :, None])[:, :, 0] @ sig_m
     states = reintegrate(model, x[0], controls, dt)
     return EnergyTrajectory(dt=dt, states=states, controls=controls, filter_means=xh)

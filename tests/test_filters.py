@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import bounded_vectors, make_hmm, random_hmm, rate_matrices, simplex_vectors
-from loop_oracles import (forward_backward_loop, wonham_batch_loop, wonham_loop, zakai_loop,
-                          zakai_operator_loop)
+from loop_oracles import (forward_backward_loop, rk4_riccati, wonham_batch_loop, wonham_loop,
+                          zakai_loop, zakai_operator_loop)
 from dualfilter.catalog import counter_example, scalar_lg, two_state
-from dualfilter.filters import (BATCH_BLOCK, _rk4_riccati, innovation_path, kalman_bucy,
-                                kf_markov_chain, solve_are, wonham_filter, wonham_filter_batch,
+from dualfilter import filters
+from dualfilter._linalg import fractional_flow
+from dualfilter.filters import (_check_psd, innovation_path, kalman_bucy, kf_markov_chain,
+                                riccati_half_grid, solve_are, wonham_filter, wonham_filter_batch,
                                 zakai_filter, zakai_operator, zakai_operator_blocks)
 from dualfilter.models import LinearGaussianModel, NumericalFailure
 from dualfilter.sim import (ObservationPath, batch_hmm_observations, simulate_hmm,
@@ -23,6 +25,16 @@ from dualfilter.smoothing import forward_backward_smoother
 
 def zero_obs(n, dt, m=1):
     return ObservationPath(dt=dt, increments=np.zeros((n, m)))
+
+
+def scalar_riccati(a, h, q, s0, t):
+    """Closed form of ``Sigma' = 2 a Sigma + q - h^2 Sigma^2``, ``h != 0``,
+    through its two equilibria ``s_plus > s_minus``."""
+    root = np.sqrt(a * a + q * h * h)
+    s_plus, s_minus = (a + root) / h ** 2, (a - root) / h ** 2
+    decay = np.exp(-2.0 * root * t)
+    return ((s_plus * (s0 - s_minus) - s_minus * (s0 - s_plus) * decay)
+            / ((s0 - s_minus) - (s0 - s_plus) * decay))
 
 
 class TestWonham:
@@ -380,22 +392,27 @@ class TestZakaiOperatorKernel:
 
     @pytest.mark.parametrize("model, n_paths", [
         (counter_example(), 3), (random_hmm(np.random.default_rng(5), d=3, m=2), 5)])
-    def test_block_stream_matches_each_record(self, model, n_paths):
-        # two full blocks and a short one; path k of the batch must be the
-        # operator of path k's record alone, bit for bit
-        n, dt = 2 * BATCH_BLOCK + 5, 0.01
+    def test_block_stream_matches_each_record(self, model, n_paths, monkeypatch):
+        # at the module's element budget and at none (16-step blocks), the
+        # blocks chain and cover every step, and path k of the batch must be
+        # the operator of path k's record alone, bit for bit
+        n, dt = 1500, 0.01
         _, incs = batch_hmm_observations(model, n * dt, dt, n_paths, seed=7, measure="P_tilde")
-        blocks = list(zakai_operator_blocks(model, incs, dt))
-        assert [logs.shape[2] - 1 for _, logs in blocks] == [BATCH_BLOCK, BATCH_BLOCK, 5]
-        for (cols, logs), (next_cols, next_logs) in zip(blocks, blocks[1:]):
-            assert np.array_equal(next_cols[:, :, 0], cols[:, :, -1])
-            assert np.array_equal(next_logs[:, :, 0], logs[:, :, -1])
-        cols = np.concatenate([blocks[0][0][:, :, :1]] + [c[:, :, 1:] for c, _ in blocks], axis=2)
-        logs = np.concatenate([blocks[0][1][:, :, :1]] + [g[:, :, 1:] for _, g in blocks], axis=2)
-        for k in range(n_paths):
-            op = zakai_operator(model, ObservationPath(dt=dt, increments=incs[k]))
-            assert np.array_equal(cols[k].transpose(1, 2, 0), op.psi)
-            assert np.array_equal(logs[k].T, op.log_scale)
+        ops = [zakai_operator(model, ObservationPath(dt=dt, increments=incs[k]))
+               for k in range(n_paths)]
+        for budget in (filters.BLOCK_ELEMENTS, 0):
+            monkeypatch.setattr(filters, "BLOCK_ELEMENTS", budget)
+            blocks = list(zakai_operator_blocks(model, incs, dt))
+            steps = [logs.shape[2] - 1 for _, logs in blocks]
+            assert min(steps) >= 1 and sum(steps) == n
+            for (cols, logs), (next_cols, next_logs) in zip(blocks, blocks[1:]):
+                assert np.array_equal(next_cols[:, :, 0], cols[:, :, -1])
+                assert np.array_equal(next_logs[:, :, 0], logs[:, :, -1])
+            cols = np.concatenate([blocks[0][0][:, :, :1]] + [c[:, :, 1:] for c, _ in blocks], axis=2)
+            logs = np.concatenate([blocks[0][1][:, :, :1]] + [g[:, :, 1:] for _, g in blocks], axis=2)
+            for k, op in enumerate(ops):
+                assert np.array_equal(cols[k].transpose(1, 2, 0), op.psi)
+                assert np.array_equal(logs[k].T, op.log_scale)
 
     def test_column_underflow_fails_like_the_filter(self):
         # frozen chain: state 2's likelihood is exp(-800) of state 1's at
@@ -447,15 +464,22 @@ class TestKalmanBucy:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_psd_failure_names_its_first_step(self):
-        # dt = 1 is past RK4's stability limit for this flow: Sigma
-        # oscillates around its equilibrium with a growing swing
+        # dt = 1 is past RK4's stability limit for this flow: the oracle's
+        # Sigma oscillates around its equilibrium with a growing swing, and
+        # the PSD check names the first negative step; the exact flow has
+        # no step-size limit and follows the closed form to 2 + sqrt(5)
         m = LinearGaussianModel([[2.0]], [[1.0]], [[1.0]], [0.0], [[0.1]])
-        covs = _rk4_riccati(m, m.cov0, 9, 1.0)[:, 0, 0]
+        rk4_covs = rk4_riccati(m, m.cov0, 9, 1.0)
+        covs = rk4_covs[:, 0, 0]
         first = next(k for k, c in enumerate(covs) if c < -1e-6)
         assert first == 8 and covs[first - 1] > 0
         with pytest.raises(NumericalFailure, match="step 8") as exc:
-            kalman_bucy(m, zero_obs(9, 1.0))
+            _check_psd(rk4_covs)
         assert exc.value.step == first
+        exact = kalman_bucy(m, zero_obs(9, 1.0)).covs[:, 0, 0]
+        closed = scalar_riccati(2.0, 1.0, 1.0, 0.1, np.arange(10.0))
+        assert np.abs(exact - closed).max() <= 1e-12
+        assert abs(exact[-1] - (2.0 + np.sqrt(5.0))) <= 1e-12
 
     def test_dre_monotone_from_zero(self):
         rng = np.random.default_rng(8)
@@ -465,6 +489,59 @@ class TestKalmanBucy:
         f = rng.standard_normal(3)
         vals = np.einsum("k,tkl,l->t", f, gp.covs[::100], f)
         assert np.all(np.diff(vals) >= -1e-10)
+
+
+LG3 = LinearGaussianModel([[-1.0, 0.3, 0.0], [-0.2, -0.8, 0.1], [0.0, -0.1, -1.2]],
+                          [[1.0, 0.0], [0.0, 0.5], [0.3, 1.0]], np.diag([0.5, 0.4, 0.3]),
+                          np.zeros(3), np.eye(3))
+
+
+class TestRiccatiFlow:
+    @pytest.mark.parametrize("a, h, q, s0, dt, n", [
+        (-0.5, 1.0, 1.0, 2.0, 1e-3, 5000),     # from above the equilibrium
+        (0.8, 2.0, 0.3, 0.0, 1e-2, 3000),      # unstable drift, from zero
+        (-1.0, 0.5, 2.0, 0.1, 0.25, 80),       # steps far past RK4's
+    ])
+    def test_scalar_matches_closed_form(self, a, h, q, s0, dt, n):
+        m = LinearGaussianModel([[a]], [[h]], [[np.sqrt(q)]], [0.0], [[s0]])
+        covs = kalman_bucy(m, zero_obs(n, dt)).covs[:, 0, 0]
+        assert np.abs(covs - scalar_riccati(a, h, q, s0, np.arange(n + 1) * dt)).max() <= 1e-12
+
+    def test_matches_rk4_at_a_finer_step(self):
+        n, dt = 1000, 1e-3                       # half grid: 2,000 steps of 5e-4
+        sig = riccati_half_grid(LG3, LG3.cov0, n, dt)
+        ref = rk4_riccati(LG3, LG3.cov0, 8 * n, dt / 8.0)[::4]
+        assert np.abs(sig - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("dt, n", [(0.2, 500), (1.0, 100)])
+    def test_fast_flow_restarts_sooner_and_stays_exact(self, dt, n):
+        # an unstable mode of rate 5: 64 steps of one chunk would grow X's
+        # condition past 1e16 (at dt = 0.2 the error was 1e-6, at dt = 1 X
+        # was singular at step 20); chunks that end where a power's norm
+        # passes the bound keep the flow at roundoff from the ARE solution
+        m = LinearGaussianModel([[5.0, 1.0], [0.0, -3.0]], [[1.0], [0.2]], np.eye(2),
+                                np.zeros(2), np.eye(2))
+        sig_inf, _ = solve_are(m)
+        assert np.abs(kalman_bucy(m, zero_obs(n, dt)).covs[-1] - sig_inf).max() <= 1e-12
+
+    def test_overflowed_propagator_fails_at_step_one(self):
+        # expm(Ham dt) holds exp(800): X is not finite at the first step
+        m = LinearGaussianModel([[800.0]], [[1.0]], [[1.0]], [0.0], [[1.0]])
+        with pytest.raises(NumericalFailure, match="Riccati propagator") as exc:
+            kalman_bucy(m, zero_obs(5, 1.0))
+        assert exc.value.step == 1
+
+    @pytest.mark.parametrize("powers", [64, 3])
+    def test_singular_x_names_its_step(self, powers):
+        # Sigma' = -Sigma^2 from Sigma_0 = -1 blows up at t = 1: X = 1 - t is
+        # exactly 0 at step 4 of 1/4, inside the first chunk, or first in the
+        # chunk that restarts from Sigma_3 = -4
+        phi = np.array([[[1.0, 0.25 * l], [0.0, 1.0]] for l in range(1, powers + 1)])
+        assert np.array_equal(fractional_flow(phi, np.array([[-1.0]]), 3)[:, 0, 0],
+                              [-1.0, -4.0 / 3.0, -2.0, -4.0])
+        with pytest.raises(NumericalFailure, match="singular") as exc:
+            fractional_flow(phi, np.array([[-1.0]]), 8)
+        assert exc.value.step == 4
 
 
 class TestSolveAre:
