@@ -137,6 +137,7 @@ class KalmanPass:
     f: Array               # one-step transition, F = expm(A^T dt)
     qd: Array              # one-step process-noise covariance
     h: Array               # observation matrix H
+    r_inv: Array           # measurement precision R^{-1} = dt I
     y: Array               # measurements dZ_k / dt, (n, m)
     means: Array           # filtered means x_f, (n + 1, d)
     filter_covs: Array     # P_f(k), (n + 1, d, d)
@@ -167,14 +168,13 @@ def discrete_kalman(model: LinearGaussianModel, obs) -> KalmanPass:
     n, dt = obs.n_steps, obs.dt
     d, m = model.dim, model.n_channels
     f, qd = van_loan_discretization(model.a_mat.T, model.noise_cov, dt)
-    h = model.h_mat
-    r = np.eye(m) / dt
-    s, f_inv_t = h @ np.linalg.solve(r, h.T), np.linalg.inv(f).T
+    h, r_inv = model.h_mat, dt * np.eye(m)
+    s, f_inv_t = h @ r_inv @ h.T, np.linalg.inv(f).T
     step = np.block([[f_inv_t + s @ qd @ f_inv_t, s @ f], [qd @ f_inv_t, f]])
     pf = fractional_flow(_powers(step), model.cov0, n)
     with np.errstate(all="ignore"):                   # steps past a bad one may overflow
         pp = symmetrize(f @ pf[:-1] @ f.T + qd)
-        innov = h.T @ pp @ h + r
+        innov = h.T @ pp @ h + np.eye(m) / dt
     finite = np.isfinite(innov).all(axis=(1, 2))[:, None, None]   # non-finite counts as singular
     bad = np.flatnonzero(~(np.linalg.cond(np.where(finite, innov, 0.0)) <= 1e12))
     if bad.size:
@@ -183,7 +183,8 @@ def discrete_kalman(model: LinearGaussianModel, obs) -> KalmanPass:
     y = obs.increments / dt
     # x_f(k) = (I - G_k H^T) F x_f(k-1) + G_k y_{k-1}, in row form
     xf = affine_scan(f.T - (f.T @ h) @ gains_t, np.einsum("km,kmd->kd", y, gains_t), model.mean0)
-    return KalmanPass(dt=dt, f=f, qd=qd, h=h, y=y, means=xf, filter_covs=pf, predicted_covs=pp)
+    return KalmanPass(dt=dt, f=f, qd=qd, h=h, r_inv=r_inv, y=y, means=xf, filter_covs=pf,
+                      predicted_covs=pp)
 
 
 def rts_smoother(model: LinearGaussianModel, obs) -> GaussianSmoothingPath:
@@ -240,9 +241,8 @@ def fraser_potter_sweep(kf: KalmanPass) -> GaussianSmoothingPath:
     one-step matrix ``[[F^{-1}, F^{-1} Qd], [0, F^T]] [[I, 0], [S, I]]``; the
     pulls are then one batched solve.
     """
-    f, qd, h, y, xf, pf = kf.f, kf.qd, kf.h, kf.y, kf.means, kf.filter_covs
+    f, qd, h, ri, y, xf, pf = kf.f, kf.qd, kf.h, kf.r_inv, kf.y, kf.means, kf.filter_covs
     n, d = y.shape[0], f.shape[0]
-    ri = np.linalg.inv(np.eye(h.shape[1]) / kf.dt)
     s = h @ ri @ h.T
     f_inv = np.linalg.inv(f)
     step = np.block([[f_inv + f_inv @ qd @ s, f_inv @ qd], [f.T @ s, f.T]])

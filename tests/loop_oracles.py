@@ -11,9 +11,9 @@ are slow (Python runs once per step, jump or path) and exist only as test
 oracles.  The dual-LQ backward-pass oracle integrates the covariance
 backward again beside the state, the joint RK4 solve that the affine passes
 replaced; that re-trace is unstable over long horizons.  The minimum-energy
-oracle takes its joint RK4 steps one at a time from the forward covariance
-nodes.  ``rk4_riccati`` is the RK4 Riccati integrator that the exact
-linear-fractional flow replaced.
+oracle takes its joint RK4 steps one at a time from covariance nodes of its
+own, RK4 at an eighth of the grid step.  ``rk4_riccati`` is the RK4 Riccati
+integrator that the exact linear-fractional flow replaced.
 """
 
 import numpy as np
@@ -23,8 +23,7 @@ from scipy.special import logsumexp
 from dualfilter._linalg import drift_step, rk4, simpson, symmetrize, van_loan_discretization
 from dualfilter._rng import path_rng
 from dualfilter.filters import (MASS_FLOOR, BeliefPath, GaussianBeliefPath, UnnormalizedPath,
-                                ZakaiOperatorPath, _check_psd, chain_riccati, riccati_half_grid,
-                                riccati_rhs)
+                                ZakaiOperatorPath, _check_psd, chain_riccati, riccati_rhs)
 from dualfilter.models import NumericalFailure, as_simplex
 from dualfilter.sim import ABSORBING_RATE, ObservationPath, n_steps_for
 from dualfilter.smoothing import (EnergyTrajectory, GaussianSmoothingPath, SmoothingPath,
@@ -291,9 +290,11 @@ def discrete_kalman_loop(model, obs):
     return f, qd, xf, pf, xp, pp, y, r
 
 
-def rts_loop(model, obs) -> GaussianSmoothingPath:
+def rts_loop(model, obs, filtered=None) -> GaussianSmoothingPath:
+    """RTS sweep over ``filtered``, a pass in the layout that
+    :func:`discrete_kalman_loop` returns, or over that loop's own pass."""
     n = obs.n_steps
-    f, qd, xf, pf, xp, pp, _, _ = discrete_kalman_loop(model, obs)
+    f, qd, xf, pf, xp, pp, _, _ = filtered or discrete_kalman_loop(model, obs)
     xs = xf.copy()
     ps = pf.copy()
     for k in range(n - 1, -1, -1):
@@ -394,11 +395,13 @@ def _reference_rhs(a, h, q, v, z):
 def minimum_energy_rk4(model, obs):
     """Minimum-energy trajectory, one joint RK4 step at a time: forward on
     ``[Sigma; xhat]``, backward on ``[Sigma; xhat; x]``, each step started from
-    the covariance node of ``riccati_half_grid`` on its side."""
+    the covariance node on its side.  The half-grid nodes are RK4 at a quarter
+    of the half step, where RK4's own error is far below the exact flow's
+    roundoff."""
     n, dt = obs.n_steps, obs.dt
     a, h, q, sig_m = model.a_mat, model.h_mat, model.noise_cov, model.sigma
     zd = obs.increments / dt
-    sig_half = riccati_half_grid(model, model.cov0, n, dt)
+    sig_half = rk4_riccati(model, model.cov0, 8 * n, dt / 8.0)[::4]
     lam_min = np.linalg.eigvalsh(sig_half).min()
     if lam_min < 1e-10:
         raise NumericalFailure("covariance numerically singular along the path")

@@ -9,13 +9,14 @@ with ``rk4`` in ``test_ode``).  The scan reorders the arithmetic of each
 step, so means agree to a relative 1e-12, and so do the data-free
 covariances, which the package runs as linear-fractional flows where the
 loops step the Riccati recursion (by RK4 at a quarter step for Kalman-Bucy);
-the random draws are unchanged bit for bit.  The backward passes start every
+the random draws are unchanged bit for bit, and so is the RTS covariance
+sweep over one and the same filter pass.  The backward passes start every
 step from the forward covariance node.  The dual-LQ oracle integrates the
 covariance backward again beside the state; the minimum-energy oracle takes
-one joint RK4 step at a time from the nodes, since a joint RK4 solve of the
-covariance differs from the exact flow by RK4's own error (up to 4e-12 in
-this family).  Over the short horizons used here each agrees to 1e-12
-absolute.
+one joint RK4 step at a time from nodes it integrates by RK4 at a finer
+step, since a joint RK4 solve of the covariance at the half step differs
+from the exact flow by RK4's own error (up to 4e-12 in this family).  Over
+the short horizons used here each agrees to 1e-12 absolute.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ from dualfilter.filters import (chain_riccati, kalman_bucy, kf_markov_chain,
 from dualfilter.models import LinearGaussianModel, NumericalFailure
 from dualfilter.sim import ObservationPath, batch_hmm_observations, simulate_linear_gaussian
 from dualfilter.smoothing import (discrete_kalman, fraser_potter_smoother, min_energy_cost,
-                                  minimum_energy_trajectory, rts_smoother)
+                                  minimum_energy_trajectory, rts_smoother, rts_sweep)
 from loop_oracles import (backward_dual_loop, chain_kalman_loop, closed_loop_backward_rk4,
                           discrete_kalman_loop, fraser_potter_loop, kalman_bucy_loop,
                           minimum_energy_rk4, rts_loop, simulate_linear_gaussian_loop)
@@ -126,6 +127,11 @@ def test_discrete_kalman_and_smoothers_match_loops(seed, d, m):
     rts, ref = rts_smoother(model, obs), rts_loop(model, obs)
     assert close(rts.smoothed_means, ref.smoothed_means)
     assert close(rts.smoothed_covs, ref.smoothed_covs)
+    # over the package's own filter pass the covariance sweep is the loop's
+    xp = np.vstack((np.full((1, d), np.nan), kf.means[:-1] @ kf.f.T))
+    pp = np.concatenate((np.full((1, d, d), np.nan), kf.predicted_covs))
+    fed = rts_loop(model, obs, (kf.f, kf.qd, kf.means, kf.filter_covs, xp, pp, kf.y, None))
+    assert np.array_equal(rts_sweep(kf).smoothed_covs, fed.smoothed_covs)
     fp, ref = fraser_potter_smoother(model, obs), fraser_potter_loop(model, obs)
     assert close(fp.smoothed_means, ref.smoothed_means)
     assert close(fp.smoothed_covs, ref.smoothed_covs)
