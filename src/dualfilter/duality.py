@@ -199,23 +199,26 @@ def gramian_mc(model: HmmModel, horizon: float, dt: float, n_paths: int, seed) -
     from the shared splitting scheme.  The operators of all paths come from
     :func:`~dualfilter.filters.zakai_operator_blocks`, and each block's
     terms are summed before the next one is formed, so memory is
-    O(paths d^2) beside the increments and one block, whose views read its
-    time-major storage (c + 1, paths d, d).  Returns the sample
-    mean and the entrywise standard error; a column whose mass underflows
-    (see :class:`~dualfilter.filters.ZakaiOperatorPath`) raises
-    :class:`~dualfilter.models.NumericalFailure` naming its step and path.
+    O(paths d^2) beside the increments and one block (c + 1, d, d, paths),
+    reduced with one ``H^T Psi`` product and sums along the path axis.
+    Returns the sample mean and the entrywise standard error; a column whose
+    mass underflows (see :class:`~dualfilter.filters.ZakaiOperatorPath`)
+    raises :class:`~dualfilter.models.NumericalFailure` naming its step and
+    path.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
-    d = model.dim
+    h = model.obs.entries
+    d, m = h.shape
     _, incs = batch_hmm_observations(model, horizon, dt, n_paths, seed, measure="P_tilde")
-    samples = np.ones((n_paths, d, d))
-    for cols, logs in zakai_operator_blocks(model, incs, dt):    # left points of each block
-        g = (cols[:, :, :-1] @ model.obs.entries * np.exp(logs[:, :, :-1, None])).reshape(n_paths, d, -1)
-        samples += dt * (g @ g.transpose(0, 2, 1))
-        del cols, logs                                # free this block before the next is formed
-    mean = samples.mean(axis=0)
-    stderr = samples.std(axis=0, ddof=1) / np.sqrt(n_paths)
+    samples = np.ones((d, d, n_paths))                # path axis last, as the stream's
+    for rows, logs in zakai_operator_blocks(model, incs, dt):    # left points of each block
+        g = (h.T @ rows[:-1].reshape(-1, d, d * n_paths)).reshape(-1, m, d, n_paths)
+        g *= np.exp(logs[:-1, None])                  # (H^T Psi_k)[:, j] of each path p
+        samples += dt * np.einsum("kmip,kmjp->ijp", g, g)
+        del rows, logs                                # free this block before the next is formed
+    mean = samples.mean(axis=2)
+    stderr = samples.std(axis=2, ddof=1) / np.sqrt(n_paths)
     return GramianEstimate(mean=mean, stderr=stderr, n_paths=n_paths)
 
 

@@ -12,18 +12,22 @@ filter of the discrete-time hidden Markov model induced on the grid, which
 is what makes machine-precision oracle comparisons possible elsewhere in the
 package.
 
-One time-major kernel, :func:`_advance`, runs the scheme on a batch of
-rows, renormalizing every step and recording the mass it divides out; each
-step reads its likelihoods and writes its rows as one contiguous slab.  A
-single record runs it in about ``sqrt(n)`` chunks side by side
-(:func:`_scan`); a batch of records, a block of steps at a time
-(:func:`wonham_blocks`, and :func:`zakai_operator_blocks` for the Zakai
-solution operator, the kernel on the rows of the identity), which the
-gramian and the twin-filter reductions reduce as they come.  The
+One kernel, :func:`_advance`, runs the scheme on a state-major batch: the
+state axis first and the path axis last and contiguous, so each step is
+``step^T x``, a multiply by the likelihoods broadcast along the path axis,
+``ones @ x`` for the masses and one divide, every one of them along rows as
+long as the batch.  It renormalizes every step and records the mass it
+divides out.  A single record runs it in about ``sqrt(n)`` chunks side by
+side, one chunk per path (:func:`_scan`); a batch of records, a block of
+steps at a time (:func:`wonham_blocks`, and :func:`zakai_operator_blocks`
+for the Zakai solution operator, the kernel on the columns of the identity,
+each path's likelihoods broadcast over its d columns), which the gramian
+and the twin-filter reductions reduce as they come.  The streams form their
+likelihoods time- and state-major straight from the increments.  The
 Wonham filters use raw likelihoods, so a mass underflow is reported at its
-step (and, for a batch, its first failing path); the Zakai filter, its
-operator and the smoother factor each step's largest log likelihood into
-the log normalizer instead.
+step (and, for a batch, the lowest failing path at that step); the Zakai
+filter, its operator and the smoother factor each step's largest log
+likelihood into the log normalizer instead.
 """
 
 from __future__ import annotations
@@ -104,13 +108,24 @@ class ZakaiOperatorPath:
     log_scale: Array  # (n_steps + 1, d), per column
 
     def matrix(self, k: int) -> Array:
-        """Full operator at grid index ``k`` (scales folded back in)."""
+        """Full operator at grid index ``k`` (scales folded back in); only
+        within float range: a column whose log scale passes ~709 is inf."""
         return self.psi[k] * np.exp(self.log_scale[k])[None, :]
 
-    def apply(self, measure) -> Array:
-        """Unnormalized masses ``Psi_t mu`` along the grid."""
+    def apply(self, measure) -> UnnormalizedPath:
+        """``Psi_t mu`` along the grid, in the form :func:`zakai_filter`
+        returns: rows ``Psi_t mu / |Psi_t mu|(1)`` and the log of that total
+        mass (``log sigma_t(1)`` for a measure ``mu``; a signed ``mu`` gives
+        rows whose absolute values sum to one).  Each step's largest log
+        weight ``log_scale + log |mu|`` is factored out first, so the masses
+        stay finite where ``sigma_t(1)`` leaves float range."""
         mu = np.asarray(measure, dtype=float)
-        return np.einsum("tij,tj->ti", self.psi, np.exp(self.log_scale) * mu)
+        with np.errstate(divide="ignore"):            # log 0 = -inf drops a column
+            log_w = self.log_scale + np.log(np.abs(mu))
+        shift = log_w.max(axis=1, keepdims=True)
+        v = np.einsum("tij,tj->ti", self.psi, np.sign(mu) * np.exp(log_w - shift))
+        total = np.abs(v).sum(axis=1, keepdims=True)
+        return UnnormalizedPath(dt=self.dt, masses=v / total, log_normalizer=(shift + np.log(total))[:, 0])
 
 
 @dataclass(frozen=True)
@@ -147,25 +162,31 @@ def _log_likelihoods(h: Array, increments: Array, dt: float) -> Array:
 
 def _advance(step: Array, like: Array, x: Array, rows: Array, mass: Array | None = None,
              keep: int = 1, first: int = 0) -> Array:
-    """The forward kernel: ``x <- like[i] * (x @ step)``, renormalized, on
-    B rows at once for each step ``i`` (step ``first + i`` of the record) of
-    the time-major ``like`` (c, B, d).  Every ``keep``-th record step's rows
-    fill ``rows[0], rows[1], ...``; ``mass[i]`` gets the mass divided out,
-    checked after the last step (the first bad step fails).  Returns x.
+    """The forward kernel on a state-major batch: ``x <- like[i] (step^T x)``,
+    renormalized, for each step ``i`` (step ``first + i`` of the record) of
+    the likelihoods ``like`` (c, d, P).  ``x`` (d, K, P) holds K columns of
+    each of P paths (or (d, K, 1), one start for every path), and every
+    column of path ``p`` takes ``like[i, :, p]``.  Every ``keep``-th record
+    step's x fills ``rows[0], rows[1], ...`` (each (d, K, P)); ``mass[i]``
+    (K, P) gets the mass divided out, checked after the last step: the first
+    bad step fails, naming its lowest bad path.  Returns x.
     """
-    ones = np.ones(step.shape[0])                     # x @ ones sums rows faster than sum(axis=1)
-    mass = np.empty(like.shape[:2]) if mass is None else mass
+    (d, k_cols, _), n_paths = x.shape, like.shape[2]
+    step_t, ones = step.T.copy(), np.ones(d)          # ones @ x sums columns faster than sum(axis=0)
+    mass = np.empty((like.shape[0], k_cols, n_paths)) if mass is None else mass
     with np.errstate(all="ignore"):                   # steps after a failure are discarded
         for i in range(like.shape[0]):
-            x = x @ step * like[i]
-            s = mass[i] = x @ ones
+            x = (step_t @ x.reshape(d, -1)).reshape(d, k_cols, -1)
+            x = np.multiply(x, like[i, :, None], out=x if x.shape[2] == n_paths else None)
+            s = mass[i] = (ones @ x.reshape(d, -1)).reshape(k_cols, n_paths)
             j = (first + i + 1) // keep - first // keep - 1          # its row in rows, if kept
-            x = np.divide(x, s[:, None], out=x if (first + i + 1) % keep else rows[j])
-    bad = np.argwhere(~((mass > MASS_FLOOR) & (mass < np.inf)))    # in (step, row) order
-    if bad.size:
-        i, row = bad[0].tolist()
-        kind = "overflow" if mass[i, row] > MASS_FLOOR else "underflow"
-        raise NumericalFailure(f"posterior mass {kind}", step=first + i, path=row)
+            x = np.divide(x, s, out=x if (first + i + 1) % keep else rows[j])
+    bad = ~((mass > MASS_FLOOR) & (mass < np.inf))
+    hits = np.argwhere(bad.any(axis=1))               # in (step, path) order
+    if hits.size:
+        i, path = hits[0].tolist()
+        kind = "overflow" if mass[i, bad[i, :, path], path][0] > MASS_FLOOR else "underflow"
+        raise NumericalFailure(f"posterior mass {kind}", step=first + i, path=path)
     return x
 
 
@@ -176,8 +197,9 @@ def _scan(step: Array, log_like: Array, x0: Array, shift: bool) -> tuple[Array, 
 
     Products of k chunks of ``c = isqrt(n)`` steps, built side by side, carry
     the rows from chunk start to chunk start (no factor is negative, so
-    nothing cancels); then the kernel runs in all chunks at once.  If that
-    leaves the range the scan trusts, the record runs step by step.
+    nothing cancels); then the kernel runs in all chunks at once, chunk
+    ``j`` as its path ``j``.  If that leaves the range the scan trusts, the
+    record runs step by step.
     """
     n, d = log_like.shape
     peak = log_like.max(axis=1) if shift else np.zeros(n)
@@ -186,11 +208,11 @@ def _scan(step: Array, log_like: Array, x0: Array, shift: bool) -> tuple[Array, 
     rows[0], mass = x0, logn[1:]                      # masses first, logs at the end
     c = max(1, math.isqrt(n))
     k = n // c
-    chunks = like[:k * c].reshape(k, c, d).transpose(1, 0, 2)    # step i of every chunk
+    chunks = like[:k * c].reshape(k, c, d)            # chunk j, its step i
     prod = np.tile(np.eye(d), (k, 1))                 # k stacked (d, d) chunk products
     with np.errstate(all="ignore"):                   # a broken product fails its mass check
         for i in range(c):
-            prod = (prod @ step).reshape(k, d, d) * chunks[i, :, None, :]
+            prod = (prod @ step).reshape(k, d, d) * chunks[:, i, None, :]
             prod = (prod / prod.max(axis=(1, 2), keepdims=True)).reshape(k * d, d)
     starts = rows[:k * c + 1:c]
     try:
@@ -199,12 +221,15 @@ def _scan(step: Array, log_like: Array, x0: Array, shift: bool) -> tuple[Array, 
             if not SCAN_FLOOR < v.sum() < np.inf:
                 raise NumericalFailure("chunk product out of range")
             starts[j + 1] = v / v.sum()
-        _advance(step, chunks, starts[:k], rows[1:k * c + 1].reshape(k, c, d).transpose(1, 0, 2),
-                 mass[:k * c].reshape(k, c).T)
-        _advance(step, like[k * c:, None], starts[k:], rows[k * c + 1:, None], mass[k * c:, None])
+        _advance(step, chunks.transpose(1, 2, 0), starts[:k].T[:, None],
+                 rows[1:k * c + 1].reshape(k, c, d).transpose(1, 2, 0)[:, :, None],
+                 mass[:k * c].reshape(k, c).T[:, None])
+        _advance(step, like[k * c:, :, None], starts[k:].T[:, None],
+                 rows[k * c + 1:, :, None, None], mass[k * c:, None, None])
     except NumericalFailure:
         try:
-            _advance(step, like[:, None], x0[None], rows[1:, None], mass[:, None])
+            _advance(step, like[:, :, None], x0[:, None, None], rows[1:, :, None, None],
+                     mass[:, None, None])
         except NumericalFailure as exc:                 # one record: the step says it all
             raise NumericalFailure(exc.reason, exc.step) from None
     np.cumsum(np.log(mass) + peak, out=mass)
@@ -235,28 +260,37 @@ def wonham_filter_batch(model: HmmModel, prior, increments: Array, dt: float,
 
 def wonham_blocks(model: HmmModel, prior, increments: Array, dt: float, keep_every: int = 1):
     """:func:`wonham_filter_batch` a block of steps at a time: the prior,
-    then each block's kept beliefs, time-major (kept points, n_paths, d)."""
+    then each block's kept beliefs, time-major (kept points, n_paths, d),
+    viewing the kernel's state-major rows (kept points, d, n_paths)."""
     if keep_every < 1:
         raise ValueError("keep_every must be at least 1")
     n_paths, d = increments.shape[0], model.dim
     step = expm(model.rate.entries.T * dt).T
     x = as_simplex(prior).entries
     yield np.broadcast_to(x, (1, n_paths, d))
+    x = x[:, None, None]                              # one start for every path
     for b, log_like in _likelihood_blocks(model.obs.entries, increments, dt, n_paths * d):
         c = log_like.shape[0]
-        rows = np.empty(((b + c) // keep_every - b // keep_every, n_paths, d))
-        x = _advance(step, np.exp(log_like, out=np.empty(log_like.shape)), x, rows, keep=keep_every,
-                     first=b)
-        yield rows
+        rows = np.empty(((b + c) // keep_every - b // keep_every, d, 1, n_paths))
+        x = _advance(step, np.exp(log_like, out=log_like), x, rows, keep=keep_every, first=b)
+        yield np.ascontiguousarray(rows[:, :, 0].transpose(0, 2, 1))
 
 
 def _likelihood_blocks(h: Array, increments: Array, dt: float, row_elements: int):
     """``(b, log_like)`` per block of steps ``b, b + 1, ...`` of ``increments``
-    (n_paths, n_steps, m), viewed time-major (c, n_paths, d); ``c`` is
-    ``BATCH_BLOCK``, or more while ``c row_elements <= BLOCK_ELEMENTS``."""
+    (n_paths, n_steps, m): the :func:`_log_likelihoods`, formed time- and
+    state-major (c, d, n_paths) channel by channel, so a path's factors do
+    not depend on the batch it runs in; ``c`` is ``BATCH_BLOCK``, or more
+    while ``c row_elements <= BLOCK_ELEMENTS``."""
     c = max(BATCH_BLOCK, BLOCK_ELEMENTS // max(row_elements, 1))
+    quad = 0.5 * np.sum(h * h, axis=1)[:, None] * dt
     for b in range(0, increments.shape[1], c):
-        yield b, _log_likelihoods(h, increments[:, b:b + c], dt).transpose(1, 0, 2)
+        inc = increments[:, b:b + c].T                # (m, c, n_paths)
+        log_like = h[:, 0, None] * inc[0, :, None]
+        for k in range(1, h.shape[1]):
+            log_like += h[:, k, None] * inc[k, :, None]
+        log_like -= quad
+        yield b, log_like
 
 
 def zakai_filter(model: HmmModel, prior, obs) -> UnnormalizedPath:
@@ -276,9 +310,9 @@ def zakai_operator(model: HmmModel, obs) -> ZakaiOperatorPath:
     """Matrix solution operator ``Psi_t`` of the Zakai equation.
 
     The Zakai filter applied to the identity: column ``j`` is the filter
-    started at the unit mass on state ``j``, run as row ``j`` of the forward
-    kernel with the same per-step factors, so ``Psi_t`` applied to a prior
-    reproduces the Zakai masses.  Raises
+    started at the unit mass on state ``j``, run as column ``j`` of the
+    forward kernel with the same per-step factors, so ``Psi_t`` applied to a
+    prior reproduces the Zakai masses.  Raises
     :class:`~dualfilter.models.NumericalFailure` at the step where a
     column's peak-shifted mass underflows.
     """
@@ -287,8 +321,8 @@ def zakai_operator(model: HmmModel, obs) -> ZakaiOperatorPath:
         blocks = list(zakai_operator_blocks(model, obs.increments[None], obs.dt))
     except NumericalFailure as exc:                     # one record: the step says it all
         raise NumericalFailure(exc.reason, exc.step) from None
-    psi = [np.eye(model.dim)[None]] + [cols[0, :, 1:].transpose(1, 2, 0) for cols, _ in blocks]
-    scales = [np.zeros((1, model.dim))] + [logs[0, :, 1:].T for _, logs in blocks]
+    psi = [np.eye(model.dim)[None]] + [rows[1:, :, :, 0] for rows, _ in blocks]
+    scales = [np.zeros((1, model.dim))] + [logs[1:, :, 0] for _, logs in blocks]
     return ZakaiOperatorPath(dt=obs.dt, psi=np.concatenate(psi), log_scale=np.concatenate(scales))
 
 
@@ -296,31 +330,29 @@ def zakai_operator_blocks(model: HmmModel, increments: Array, dt: float):
     """:func:`zakai_operator` of each record of ``increments`` (n_paths,
     n_steps, m), a block of steps at a time.
 
-    Each block of ``c`` steps yields ``(cols, log_scale)``, shaped (n_paths,
-    d, c + 1, d) and (n_paths, d, c + 1): column ``j`` of path ``p``'s
-    operator, normalized, and its log mass at the block's grid points, the
-    first of which ends the previous block.  Both view time-major storage
-    whose row ``p d + j`` is column ``j`` of path ``p``.  A column underflow
-    raises :class:`~dualfilter.models.NumericalFailure` naming its step and path.
+    Each block of ``c`` steps yields ``(rows, log_scale)``, shaped (c + 1, d,
+    d, n_paths) and (c + 1, d, n_paths): ``rows[k, :, j, p]`` is column ``j``
+    of path ``p``'s operator, normalized, and ``log_scale[k, j, p]`` its log
+    mass, at the block's grid points, the first of which ends the previous
+    block.  Every column of a path takes that path's likelihoods, broadcast
+    over the column axis.  A column underflow raises
+    :class:`~dualfilter.models.NumericalFailure` naming its step and path.
     """
     n_paths, d = increments.shape[0], model.dim
     step = expm(model.rate.entries.T * dt).T
-    x, log_scale = np.tile(np.eye(d), (n_paths, 1)), np.zeros(n_paths * d)
+    x, log_scale = np.eye(d)[:, :, None], np.zeros((d, 1))     # one start for every path
     for b, log_like in _likelihood_blocks(model.obs.entries, increments, dt, n_paths * d * d):
         c = log_like.shape[0]
-        peak = np.ascontiguousarray(np.moveaxis(log_like, 2, 0)).max(axis=0)   # max(axis=2) is slower
-        rows, logs = np.empty((c + 1, n_paths * d, d)), np.empty((c + 1, n_paths * d))
+        peak = log_like.max(axis=1)
+        rows, logs = np.empty((c + 1, d, d, n_paths)), np.empty((c + 1, d, n_paths))
         rows[0], logs[0] = x, log_scale
-        try:
-            _advance(step, np.repeat(np.exp(log_like - peak[..., None]), d, axis=1), rows[0],
-                     rows[1:], logs[1:], first=b)
-        except NumericalFailure as exc:
-            raise NumericalFailure(exc.reason, exc.step, exc.path // d) from None
-        logs[1:] = np.log(logs[1:]) + np.repeat(peak, d, axis=1)
-        np.cumsum(logs, axis=0, out=logs)
+        log_like -= peak[:, None]
+        _advance(step, np.exp(log_like, out=log_like), rows[0], rows[1:], logs[1:], first=b)
+        logs[1:] = np.log(logs[1:]) + peak[:, None]
+        for k in range(c):                            # np.cumsum along axis 0 is 5x slower
+            logs[k + 1] += logs[k]
         x, log_scale = rows[c].copy(), logs[c].copy()   # copies: the block is freed once reduced
-        yield (rows.reshape(c + 1, n_paths, d, d).transpose(1, 2, 0, 3),
-               logs.reshape(c + 1, n_paths, d).transpose(1, 2, 0))
+        yield rows, logs
 
 
 def innovation_path(model: HmmModel, beliefs: BeliefPath, obs) -> Array:

@@ -234,8 +234,9 @@ class TestGramian:
         s = np.linalg.svd(exact, compute_uv=False)
         assert int(np.sum(s > 1e-9 * s[0])) == controllable_subspace(model).dim
 
-    @pytest.mark.parametrize("model", [counter_example(), doeblin_demo(), two_state(1.0, 2.0)],
-                             ids=["counter_example", "doeblin_demo", "two_state"])
+    @pytest.mark.parametrize("model", [counter_example(), doeblin_demo(), two_state(1.0, 2.0),
+                                       random_hmm(np.random.default_rng(3), d=3, m=2)],
+                             ids=["counter_example", "doeblin_demo", "two_state", "random_d3_m2"])
     def test_matches_per_path_oracle_sum(self, model):
         # the same increments through the per-step operator loop, summed path by path
         horizon, dt, n_paths, seed = 1.0, 0.01, 50, 29
@@ -276,6 +277,24 @@ class TestGramian:
         with pytest.raises(NumericalFailure, match=r"underflow \(step 2, path 3\)$") as exc:
             gramian_mc(m, 6.0, 1.0, 5, seed=0)
         assert (exc.value.step, exc.value.path) == (2, 3)
+
+    def test_underflow_order_is_step_then_path_across_columns(self, monkeypatch):
+        # the stream stores column j of path p at j n_paths + p; a failure
+        # still names the first step, then the lowest path at that step
+        import dualfilter.duality as duality
+        from dualfilter.models import NumericalFailure
+        m = make_hmm(np.zeros((2, 2)), [0.0, 40.0])
+        incs = np.full((5, 6, 1), 20.0)
+        monkeypatch.setattr(duality, "batch_hmm_observations", lambda *args, **kw: (None, incs))
+        # step 2: column 0 of path 3 (state 2 ahead by e^800), column 1 of path 1
+        incs[3, 2], incs[1, 2] = 40.0, 0.0
+        with pytest.raises(NumericalFailure, match=r"underflow \(step 2, path 1\)$"):
+            gramian_mc(m, 6.0, 1.0, 5, seed=0)
+        # path 4 at step 1 comes before path 0 at step 3
+        incs[4, 1], incs[0, 3] = 0.0, 40.0
+        with pytest.raises(NumericalFailure) as exc:
+            gramian_mc(m, 6.0, 1.0, 5, seed=0)
+        assert (exc.value.step, exc.value.path) == (1, 4)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -15,8 +15,9 @@ from dualfilter.catalog import counter_example, scalar_lg, two_state
 from dualfilter import filters
 from dualfilter._linalg import fractional_flow
 from dualfilter.filters import (_check_psd, innovation_path, kalman_bucy, kf_markov_chain,
-                                riccati_half_grid, solve_are, wonham_filter, wonham_filter_batch,
-                                zakai_filter, zakai_operator, zakai_operator_blocks)
+                                riccati_half_grid, solve_are, wonham_blocks, wonham_filter,
+                                wonham_filter_batch, zakai_filter, zakai_operator,
+                                zakai_operator_blocks)
 from dualfilter.models import LinearGaussianModel, NumericalFailure
 from dualfilter.sim import (ObservationPath, batch_hmm_observations, simulate_hmm,
                             simulate_linear_gaussian)
@@ -141,19 +142,21 @@ class TestWonham:
 
 
 @st.composite
-def kernel_cases(draw):
-    """A random chain, prior and record; the record length hits the chunk
-    boundaries of the scan (0, 1, 2, c^2 - 1, c^2, c^2 + 1) or is random."""
+def kernel_cases(draw, channels=st.just(1)):
+    """A random chain, prior and record of ``channels`` observation channels;
+    the record length hits the chunk boundaries of the scan (0, 1, 2,
+    c^2 - 1, c^2, c^2 + 1) or is random."""
     d = draw(st.integers(2, 5))
     a = draw(rate_matrices(d))
-    h = draw(bounded_vectors(d, bound=2.0))
+    m = draw(channels)
+    h = np.column_stack([draw(bounded_vectors(d, bound=2.0)) for _ in range(m)])
     prior = draw(simplex_vectors(d))
     c = draw(st.integers(2, 40))
     n = draw(st.one_of(st.integers(3, 3000),
                        st.sampled_from([c * c - 1, c * c, c * c + 1, 0, 1, 2])))
     dt = draw(st.sampled_from([0.005, 0.02, 0.1]))
     seed = draw(st.integers(0, 2**32 - 1))
-    inc = np.sqrt(dt) * np.random.default_rng(seed).standard_normal((n, 1))
+    inc = np.sqrt(dt) * np.random.default_rng(seed).standard_normal((n, m))
     return make_hmm(a, h, prior), ObservationPath(dt=dt, increments=inc)
 
 
@@ -185,13 +188,23 @@ class TestForwardKernel:
             assert_scan_matches_loop(m, obs)
 
     @settings(max_examples=20, deadline=None)
-    @given(kernel_cases(), st.integers(1, 4), st.sampled_from([1, 3, 64, 200]))
+    @given(kernel_cases(channels=st.integers(1, 2)), st.integers(1, 4),
+           st.sampled_from([1, 3, 64, 200]))
     def test_batch_matches_loop_oracle(self, case, n_paths, keep):
         m, obs = case
         rng = np.random.default_rng(obs.n_steps)
-        incs = np.sqrt(obs.dt) * rng.standard_normal((n_paths, obs.n_steps, 1))
+        incs = np.sqrt(obs.dt) * rng.standard_normal((n_paths, obs.n_steps, m.n_channels))
         batch = wonham_filter_batch(m, m.prior, incs, obs.dt, keep_every=keep)
         assert np.abs(batch - wonham_batch_loop(m, m.prior, incs, obs.dt, keep)).max() <= 1e-13
+
+    def test_wide_batch_matches_loop_oracle_across_blocks(self):
+        # 700 paths x 3 states take 16-step blocks, and the blocks split
+        # keep_every = 3 intervals: kept points 3..15 | 18..30 | 33..48 | none
+        m = random_hmm(np.random.default_rng(8), d=3, m=2)
+        incs = 0.1 * np.random.default_rng(9).standard_normal((700, 50, 2))
+        assert [len(b) for b in wonham_blocks(m, m.prior, incs, 0.01, 3)] == [1, 5, 5, 6, 0]
+        batch = wonham_filter_batch(m, m.prior, incs, 0.01, keep_every=3)
+        assert np.abs(batch - wonham_batch_loop(m, m.prior, incs, 0.01, 3)).max() <= 1e-13
 
     def test_failure_names_the_loop_step_without_warnings(self):
         # likelihoods [1, 0] at every step but step 37, where both underflow
@@ -253,6 +266,19 @@ class TestForwardKernel:
         with pytest.raises(NumericalFailure, match=r"underflow \(step 5\)$") as single:
             wonham_filter(m, m.prior, ObservationPath(dt=1.0, increments=incs[2]))
         assert (single.value.step, single.value.path) == (5, None)
+
+    def test_batch_failure_names_the_first_step_then_the_lowest_path(self):
+        # path 4 underflows at step 1, paths 0 and 2 only later: step 1, path 4;
+        # then path 2 also at step 1: the lowest path of the first step
+        m = make_hmm([[-1.0, 1.0], [1.0, -1.0]], [800.0, -800.0])
+        incs = np.full((5, 10, 1), 400.0)
+        incs[4, 1] = incs[0, 3] = incs[2, 6] = 1.0
+        with pytest.raises(NumericalFailure, match=r"underflow \(step 1, path 4\)$"):
+            wonham_filter_batch(m, m.prior, incs, 1.0)
+        incs[2, 1] = 1.0
+        with pytest.raises(NumericalFailure) as batch:
+            wonham_filter_batch(m, m.prior, incs, 1.0)
+        assert (batch.value.step, batch.value.path) == (1, 2)
 
 
 class TestZakai:
@@ -322,9 +348,24 @@ class TestZakaiOperator:
         op = zakai_operator(m, obs)
         unn = zakai_filter(m, m.prior, obs)
         applied = op.apply(m.prior.entries)
-        expected = np.exp(unn.log_normalizer)[:, None] * unn.masses
-        scale = np.abs(expected).max(axis=1)
-        assert (np.abs(applied - expected).max(axis=1) / scale).max() <= 1e-12
+        assert np.abs(applied.log_normalizer - unn.log_normalizer).max() <= 1e-12
+        assert (np.abs(applied.masses - unn.masses).max(axis=1)
+                / unn.masses.max(axis=1)).max() <= 1e-12
+
+    def test_apply_stays_finite_past_float_range(self):
+        # log scale ~150 per step: after 8 steps sigma_t(1) ~ e^1200, where
+        # folding the scales back in overflows
+        m = make_hmm([[-1.0, 1.0], [1.0, -1.0]], [30.0, 0.0])
+        obs = ObservationPath(dt=1.0, increments=np.full((8, 1), 20.0))
+        op = zakai_operator(m, obs)
+        assert op.log_scale[-1].max() > 800.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            applied = op.apply(m.prior.entries)
+        assert np.all(np.isfinite(applied.masses)) and np.all(np.isfinite(applied.log_normalizer))
+        unn = zakai_filter(m, m.prior, obs)
+        assert np.abs(applied.log_normalizer - unn.log_normalizer).max() <= 1e-10
+        assert np.abs(applied.masses - unn.masses).max() <= 1e-10
 
     def test_semigroup_property(self):
         m = random_hmm(np.random.default_rng(7), d=3)
@@ -359,7 +400,11 @@ class TestZakaiOperator:
         op = zakai_operator(m, obs)
         mu, nu = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
         a, b = 0.3, -1.2
-        assert np.abs(op.apply(a * mu + b * nu) - (a * op.apply(mu) + b * op.apply(nu))).max() <= 1e-10
+        lhs, p_mu, p_nu = op.apply(a * mu + b * nu), op.apply(mu), op.apply(nu)
+        # a Psi mu + b Psi nu, both sides divided by lhs's normalizer
+        rhs = (a * np.exp(p_mu.log_normalizer - lhs.log_normalizer)[:, None] * p_mu.masses
+               + b * np.exp(p_nu.log_normalizer - lhs.log_normalizer)[:, None] * p_nu.masses)
+        assert np.abs(lhs.masses - rhs).max() <= 1e-10
 
 
 def assert_same_operator(op, ref):
@@ -403,16 +448,16 @@ class TestZakaiOperatorKernel:
         for budget in (filters.BLOCK_ELEMENTS, 0):
             monkeypatch.setattr(filters, "BLOCK_ELEMENTS", budget)
             blocks = list(zakai_operator_blocks(model, incs, dt))
-            steps = [logs.shape[2] - 1 for _, logs in blocks]
+            steps = [logs.shape[0] - 1 for _, logs in blocks]
             assert min(steps) >= 1 and sum(steps) == n
-            for (cols, logs), (next_cols, next_logs) in zip(blocks, blocks[1:]):
-                assert np.array_equal(next_cols[:, :, 0], cols[:, :, -1])
-                assert np.array_equal(next_logs[:, :, 0], logs[:, :, -1])
-            cols = np.concatenate([blocks[0][0][:, :, :1]] + [c[:, :, 1:] for c, _ in blocks], axis=2)
-            logs = np.concatenate([blocks[0][1][:, :, :1]] + [g[:, :, 1:] for _, g in blocks], axis=2)
+            for (rows, logs), (next_rows, next_logs) in zip(blocks, blocks[1:]):
+                assert np.array_equal(next_rows[0], rows[-1])
+                assert np.array_equal(next_logs[0], logs[-1])
+            rows = np.concatenate([blocks[0][0][:1]] + [r[1:] for r, _ in blocks])
+            logs = np.concatenate([blocks[0][1][:1]] + [g[1:] for _, g in blocks])
             for k, op in enumerate(ops):
-                assert np.array_equal(cols[k].transpose(1, 2, 0), op.psi)
-                assert np.array_equal(logs[k].T, op.log_scale)
+                assert np.array_equal(rows[..., k], op.psi)
+                assert np.array_equal(logs[..., k], op.log_scale)
 
     def test_column_underflow_fails_like_the_filter(self):
         # frozen chain: state 2's likelihood is exp(-800) of state 1's at
