@@ -349,8 +349,7 @@ def zakai_operator_blocks(model: HmmModel, increments: Array, dt: float):
         log_like -= peak[:, None]
         _advance(step, np.exp(log_like, out=log_like), rows[0], rows[1:], logs[1:], first=b)
         logs[1:] = np.log(logs[1:]) + peak[:, None]
-        for k in range(c):                            # np.cumsum along axis 0 is 5x slower
-            logs[k + 1] += logs[k]
+        np.cumsum(logs, axis=0, out=logs)
         x, log_scale = rows[c].copy(), logs[c].copy()   # copies: the block is freed once reduced
         yield rows, logs
 
