@@ -30,8 +30,7 @@ from numpy.typing import NDArray
 from scipy.linalg import expm
 
 from ._linalg import affine_scan, drift_step, numerical_rank, orth_basis, rk4, simpson
-from .filters import (chain_riccati, prior_flow, riccati_half_grid, riccati_rhs,
-                      zakai_operator_blocks)
+from .filters import chain_riccati, forward_blocks, prior_flow, riccati_half_grid, riccati_rhs
 from .models import HmmModel, LinearGaussianModel, as_simplex
 from .sim import batch_hmm_observations, n_steps_for
 
@@ -197,7 +196,7 @@ def gramian_mc(model: HmmModel, horizon: float, dt: float, n_paths: int, seed) -
     motion); each path accumulates
     ``11^T + sum_k Psi_k^T H H^T Psi_k dt`` with the Zakai solution operator
     from the shared splitting scheme.  The operators of all paths come from
-    :func:`~dualfilter.filters.zakai_operator_blocks`, and each block's
+    :func:`~dualfilter.filters.forward_blocks` from ``I``, and each block's
     terms are summed before the next one is formed, so memory is
     O(paths d^2) beside the increments and one block (c + 1, d, d, paths),
     reduced with one ``H^T Psi`` product and sums along the path axis.
@@ -212,7 +211,7 @@ def gramian_mc(model: HmmModel, horizon: float, dt: float, n_paths: int, seed) -
     d, m = h.shape
     _, incs = batch_hmm_observations(model, horizon, dt, n_paths, seed, measure="P_tilde")
     samples = np.ones((d, d, n_paths))                # path axis last, as the stream's
-    for rows, logs in zakai_operator_blocks(model, incs, dt):    # left points of each block
+    for rows, logs in forward_blocks(model, np.eye(d), incs, dt, shift=True):  # left points
         g = (h.T @ rows[:-1].reshape(-1, d, d * n_paths)).reshape(-1, m, d, n_paths)
         g *= np.exp(logs[:-1, None])                  # (H^T Psi_k)[:, j] of each path p
         samples += dt * np.einsum("kmip,kmjp->ijp", g, g)

@@ -18,15 +18,16 @@ state axis first and the path axis last and contiguous, so each step is
 ``ones @ x`` for the masses and one divide, every one of them along rows as
 long as the batch.  It renormalizes every step and records the mass it
 divides out.  A single record runs it in about ``sqrt(n)`` chunks side by
-side, one chunk per path (:func:`_scan`); a batch of records, a block of
-steps at a time (:func:`wonham_blocks`, and :func:`zakai_operator_blocks`
-for the Zakai solution operator, the kernel on the columns of the identity,
-each path's likelihoods broadcast over its d columns), which the gramian
-and the twin-filter reductions reduce as they come.  The streams form their
-likelihoods time- and state-major straight from the increments.  The
-Wonham filters use raw likelihoods, so a mass underflow is reported at its
-step (and, for a batch, the lowest failing path at that step); the Zakai
-filter, its operator and the smoother factor each step's largest log
+side, one chunk per path (:func:`_scan`); a batch of records, in one stream
+a block of steps at a time (:func:`forward_blocks`), from K starts shared
+by every path, each path's likelihoods broadcast over its K columns: the
+identity's for the Zakai solution operator, or Wonham priors, so twin and
+class-decomposition filters on the same records are one pass
+(:func:`wonham_blocks`).  The gramian and the stability reductions reduce
+the blocks as they come, formed time- and state-major from the increments.
+The Wonham filters use raw likelihoods, so a mass underflow is reported at
+its step (and, for a batch, the lowest failing path at that step); the
+Zakai filter, its operator and the smoother factor each step's largest log
 likelihood into the log normalizer instead.
 """
 
@@ -160,27 +161,23 @@ def _log_likelihoods(h: Array, increments: Array, dt: float) -> Array:
     return out
 
 
-def _advance(step: Array, like: Array, x: Array, rows: Array, mass: Array | None = None,
-             keep: int = 1, first: int = 0) -> Array:
+def _advance(step: Array, like: Array, x: Array, rows: Array, mass: Array, first: int = 0) -> Array:
     """The forward kernel on a state-major batch: ``x <- like[i] (step^T x)``,
     renormalized, for each step ``i`` (step ``first + i`` of the record) of
     the likelihoods ``like`` (c, d, P).  ``x`` (d, K, P) holds K columns of
-    each of P paths (or (d, K, 1), one start for every path), and every
-    column of path ``p`` takes ``like[i, :, p]``.  Every ``keep``-th record
-    step's x fills ``rows[0], rows[1], ...`` (each (d, K, P)); ``mass[i]``
-    (K, P) gets the mass divided out, checked after the last step: the first
-    bad step fails, naming its lowest bad path.  Returns x.
+    each of P paths, and every column of path ``p`` takes ``like[i, :, p]``.
+    Step ``i`` writes its x to ``rows[i]`` (d, K, P) and the mass it divides
+    out to ``mass[i]`` (K, P), checked after the last step: the first bad
+    step fails, naming its lowest bad path.  Returns x.
     """
-    (d, k_cols, _), n_paths = x.shape, like.shape[2]
+    d, k_cols, _ = x.shape
     step_t, ones = step.T.copy(), np.ones(d)          # ones @ x sums columns faster than sum(axis=0)
-    mass = np.empty((like.shape[0], k_cols, n_paths)) if mass is None else mass
     with np.errstate(all="ignore"):                   # steps after a failure are discarded
         for i in range(like.shape[0]):
             x = (step_t @ x.reshape(d, -1)).reshape(d, k_cols, -1)
-            x = np.multiply(x, like[i, :, None], out=x if x.shape[2] == n_paths else None)
-            s = mass[i] = (ones @ x.reshape(d, -1)).reshape(k_cols, n_paths)
-            j = (first + i + 1) // keep - first // keep - 1          # its row in rows, if kept
-            x = np.divide(x, s, out=x if (first + i + 1) % keep else rows[j])
+            x *= like[i, :, None]
+            s = mass[i] = (ones @ x.reshape(d, -1)).reshape(k_cols, -1)
+            x = np.divide(x, s, out=rows[i])
     bad = ~((mass > MASS_FLOOR) & (mass < np.inf))
     hits = np.argwhere(bad.any(axis=1))               # in (step, path) order
     if hits.size:
@@ -236,12 +233,19 @@ def _scan(step: Array, log_like: Array, x0: Array, shift: bool) -> tuple[Array, 
     return rows, logn
 
 
+def _prior_entries(model: HmmModel, prior) -> Array:
+    p = as_simplex(prior).entries
+    if p.shape[0] != model.dim:
+        raise ValueError(f"prior has {p.shape[0]} states, model has {model.dim}")
+    return p
+
+
 def wonham_filter(model: HmmModel, prior, obs) -> BeliefPath:
     """Optimal nonlinear filter of a finite-state chain, renormalized each step."""
     _check_hmm_inputs(model, obs)
     beliefs, _ = _scan(expm(model.rate.entries.T * obs.dt).T,
                        _log_likelihoods(model.obs.entries, obs.increments, obs.dt),
-                       as_simplex(prior).entries, shift=False)
+                       _prior_entries(model, prior), shift=False)
     return BeliefPath(dt=obs.dt, beliefs=beliefs)
 
 
@@ -251,29 +255,60 @@ def wonham_filter_batch(model: HmmModel, prior, increments: Array, dt: float,
 
     ``increments`` has shape (n_paths, n_steps, m); returns beliefs of shape
     (n_paths, n_steps // keep_every + 1, d) at grid points ``0, keep_every,
-    2 keep_every, ...``: the blocks of :func:`wonham_blocks`, joined
-    time-major and viewed path-major; subsampling bounds their memory.
-    """
-    blocks = wonham_blocks(model, prior, increments, dt, keep_every)
-    return np.concatenate(list(blocks)).transpose(1, 0, 2)
+    ...`` (a leading K axis for a stack of K priors): the blocks of
+    :func:`wonham_blocks`, joined path-major."""
+    blocks = list(wonham_blocks(model, prior, increments, dt, keep_every))
+    return np.concatenate(blocks, axis=-3).swapaxes(-3, -2)
 
 
 def wonham_blocks(model: HmmModel, prior, increments: Array, dt: float, keep_every: int = 1):
     """:func:`wonham_filter_batch` a block of steps at a time: the prior,
-    then each block's kept beliefs, time-major (kept points, n_paths, d),
-    viewing the kernel's state-major rows (kept points, d, n_paths)."""
+    then each block's kept beliefs, time-major (kept points, n_paths, d), or
+    (K, kept points, n_paths, d) for a stack of K priors, all of them
+    columns of one :func:`forward_blocks` pass."""
     if keep_every < 1:
         raise ValueError("keep_every must be at least 1")
-    n_paths, d = increments.shape[0], model.dim
+    one = np.ndim(prior) < 2                          # a prior, or a stack (K, d) of them
+    starts = np.stack([_prior_entries(model, p) for p in ([prior] if one else prior)], axis=1)
+
+    def kept(rows):                                   # copied: a view would pin its whole block
+        out = rows.transpose(2, 0, 3, 1).copy()
+        return out[0] if one else out
+
+    yield kept(np.broadcast_to(starts[None, :, :, None], (1, *starts.shape, increments.shape[0])))
+    b = 0
+    for rows, _ in forward_blocks(model, starts, increments, dt):
+        yield kept(rows[keep_every - b % keep_every::keep_every])    # rows[i] is grid point b + i
+        b += rows.shape[0] - 1
+
+
+def forward_blocks(model: HmmModel, starts: Array, increments: Array, dt: float,
+                   shift: bool = False):
+    """The forward kernel from the K columns of ``starts`` (d, K), shared by
+    every record of ``increments`` (n_paths, n_steps, m), a block of ``c``
+    steps at a time: ``(rows, logs)``, shaped (c + 1, d, K, n_paths) and
+    (c + 1, K, n_paths), hold column ``j`` of path ``p`` normalized in
+    ``rows[k, :, j, p]`` and its log mass in ``logs[k, j, p]`` at the
+    block's grid points, the first of which ends the previous block.
+    ``shift`` factors each step's largest log likelihood into the log masses
+    (the Zakai operator, from ``I``); the Wonham filters run raw
+    likelihoods.  A mass out of range raises a ``NumericalFailure`` naming
+    its step and path.
+    """
+    (d, k_cols), n_paths = starts.shape, increments.shape[0]
     step = expm(model.rate.entries.T * dt).T
-    x = as_simplex(prior).entries
-    yield np.broadcast_to(x, (1, n_paths, d))
-    x = x[:, None, None]                              # one start for every path
-    for b, log_like in _likelihood_blocks(model.obs.entries, increments, dt, n_paths * d):
+    x, log_scale = starts[:, :, None], np.zeros((k_cols, 1))   # one start for every path
+    for b, log_like in _likelihood_blocks(model.obs.entries, increments, dt, n_paths * d * k_cols):
         c = log_like.shape[0]
-        rows = np.empty(((b + c) // keep_every - b // keep_every, d, 1, n_paths))
-        x = _advance(step, np.exp(log_like, out=log_like), x, rows, keep=keep_every, first=b)
-        yield np.ascontiguousarray(rows[:, :, 0].transpose(0, 2, 1))
+        peak = log_like.max(axis=1, keepdims=True) if shift else 0.0
+        rows, logs = np.empty((c + 1, d, k_cols, n_paths)), np.empty((c + 1, k_cols, n_paths))
+        rows[0], logs[0] = x, log_scale               # broadcast: K starts step as one prior does
+        log_like -= peak
+        _advance(step, np.exp(log_like, out=log_like), rows[0], rows[1:], logs[1:], first=b)
+        logs[1:] = np.log(logs[1:]) + peak
+        np.cumsum(logs, axis=0, out=logs)
+        x, log_scale = rows[c].copy(), logs[c].copy()   # copies: the block is freed once reduced
+        yield rows, logs
 
 
 def _likelihood_blocks(h: Array, increments: Array, dt: float, row_elements: int):
@@ -302,56 +337,24 @@ def zakai_filter(model: HmmModel, prior, obs) -> UnnormalizedPath:
     _check_hmm_inputs(model, obs)
     masses, logn = _scan(expm(model.rate.entries.T * obs.dt).T,
                          _log_likelihoods(model.obs.entries, obs.increments, obs.dt),
-                         as_simplex(prior).entries, shift=True)
+                         _prior_entries(model, prior), shift=True)
     return UnnormalizedPath(dt=obs.dt, masses=masses, log_normalizer=logn)
 
 
 def zakai_operator(model: HmmModel, obs) -> ZakaiOperatorPath:
-    """Matrix solution operator ``Psi_t`` of the Zakai equation.
-
-    The Zakai filter applied to the identity: column ``j`` is the filter
-    started at the unit mass on state ``j``, run as column ``j`` of the
-    forward kernel with the same per-step factors, so ``Psi_t`` applied to a
-    prior reproduces the Zakai masses.  Raises
-    :class:`~dualfilter.models.NumericalFailure` at the step where a
-    column's peak-shifted mass underflows.
-    """
+    """Matrix solution operator ``Psi_t`` of the Zakai equation: the Zakai
+    filter on the columns of the identity (:func:`forward_blocks` with
+    ``shift``), so ``Psi_t`` applied to a prior reproduces the Zakai masses;
+    a column's mass underflow fails as :class:`ZakaiOperatorPath` says."""
     _check_hmm_inputs(model, obs)
     try:
-        blocks = list(zakai_operator_blocks(model, obs.increments[None], obs.dt))
+        blocks = list(forward_blocks(model, np.eye(model.dim), obs.increments[None], obs.dt,
+                                     shift=True))
     except NumericalFailure as exc:                     # one record: the step says it all
         raise NumericalFailure(exc.reason, exc.step) from None
     psi = [np.eye(model.dim)[None]] + [rows[1:, :, :, 0] for rows, _ in blocks]
     scales = [np.zeros((1, model.dim))] + [logs[1:, :, 0] for _, logs in blocks]
     return ZakaiOperatorPath(dt=obs.dt, psi=np.concatenate(psi), log_scale=np.concatenate(scales))
-
-
-def zakai_operator_blocks(model: HmmModel, increments: Array, dt: float):
-    """:func:`zakai_operator` of each record of ``increments`` (n_paths,
-    n_steps, m), a block of steps at a time.
-
-    Each block of ``c`` steps yields ``(rows, log_scale)``, shaped (c + 1, d,
-    d, n_paths) and (c + 1, d, n_paths): ``rows[k, :, j, p]`` is column ``j``
-    of path ``p``'s operator, normalized, and ``log_scale[k, j, p]`` its log
-    mass, at the block's grid points, the first of which ends the previous
-    block.  Every column of a path takes that path's likelihoods, broadcast
-    over the column axis.  A column underflow raises
-    :class:`~dualfilter.models.NumericalFailure` naming its step and path.
-    """
-    n_paths, d = increments.shape[0], model.dim
-    step = expm(model.rate.entries.T * dt).T
-    x, log_scale = np.eye(d)[:, :, None], np.zeros((d, 1))     # one start for every path
-    for b, log_like in _likelihood_blocks(model.obs.entries, increments, dt, n_paths * d * d):
-        c = log_like.shape[0]
-        peak = log_like.max(axis=1)
-        rows, logs = np.empty((c + 1, d, d, n_paths)), np.empty((c + 1, d, n_paths))
-        rows[0], logs[0] = x, log_scale
-        log_like -= peak[:, None]
-        _advance(step, np.exp(log_like, out=log_like), rows[0], rows[1:], logs[1:], first=b)
-        logs[1:] = np.log(logs[1:]) + peak[:, None]
-        np.cumsum(logs, axis=0, out=logs)
-        x, log_scale = rows[c].copy(), logs[c].copy()   # copies: the block is freed once reduced
-        yield rows, logs
 
 
 def innovation_path(model: HmmModel, beliefs: BeliefPath, obs) -> Array:

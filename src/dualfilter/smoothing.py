@@ -39,8 +39,8 @@ from scipy.linalg import expm
 from ._csv import csv_text, grid_rows
 from ._linalg import (PROPAGATOR_POWERS, affine_scan, fractional_flow, rk4, simpson, symmetrize,
                       van_loan_discretization)
-from .filters import _log_likelihoods, _scan, riccati_half_grid, riccati_rhs
-from .models import HmmModel, LinearGaussianModel, NumericalFailure, as_simplex
+from .filters import _log_likelihoods, _prior_entries, _scan, riccati_half_grid, riccati_rhs
+from .models import HmmModel, LinearGaussianModel, NumericalFailure
 
 Array = NDArray[np.float64]
 
@@ -102,12 +102,12 @@ def forward_backward_smoother(model: HmmModel, obs, prior=None) -> SmoothingPath
     one on ``w_{j+1} = g_{n-2-j} . (expm(A dt) w_j)``, ``w_0 = g_{n-1}``, so
     that ``q_k = expm(A dt) w_{n-1-k}``.
     """
-    prior = as_simplex(model.prior if prior is None else prior)
+    prior = _prior_entries(model, model.prior if prior is None else prior)
     n, dt = obs.n_steps, obs.dt
     d = model.dim
     step = expm(model.rate.entries.T * dt).T      # expm(A dt); rows are beliefs
     log_like = _log_likelihoods(model.obs.entries, obs.increments, dt)
-    fwd, log_mass = _scan(step, log_like, prior.entries, shift=True)
+    fwd, log_mass = _scan(step, log_like, prior, shift=True)
     with np.errstate(divide="ignore"):
         log_fwd = np.log(fwd) + log_mass[:, None]
 

@@ -120,11 +120,11 @@ def _mean_stderr(x: Array) -> tuple[Array, Array]:
 def _twin_beliefs(model: HmmModel, priors: PriorPair, horizon: float, dt: float, n_paths: int,
                   seed, keep_every: int = 1):
     """Kept beliefs of the filters from ``mu`` and from ``nu`` on one batch of
-    records simulated under ``mu``, as pairs of :func:`wonham_blocks`."""
+    records simulated under ``mu``: one :func:`wonham_blocks` stream from
+    ``[mu, nu]``, whose blocks unpack to the pair."""
     _, incs = batch_hmm_observations(model.with_prior(priors.mu), horizon, dt, n_paths, seed,
                                      measure="P")
-    yield from zip(wonham_blocks(model, priors.mu, incs, dt, keep_every),
-                   wonham_blocks(model, priors.nu, incs, dt, keep_every))
+    yield from wonham_blocks(model, [priors.mu, priors.nu], incs, dt, keep_every)
 
 
 def _over_paths(x: Array, stat) -> list[Array]:
@@ -466,9 +466,12 @@ def ergodic_class_detection(
     n = n_steps_for(horizon, dt)
     work = model.with_prior(priors.mu)
     paths, incs = batch_hmm_observations(work, horizon, dt, n_paths, seed, measure="P")
-    bel_nu = wonham_filter_batch(model, priors.nu, incs, dt, keep_every=n)   # rows 0 and n
     nu = priors.nu
     indicators = np.stack([np.isin(np.arange(model.dim), sorted(cls)).astype(float) for cls in classes])
+    weights = [float(ind @ nu) for ind in indicators]
+    # one pass from nu and each class's conditional prior nu_k (none without nu mass): rows 0, n
+    starts = [nu] + [nu * ind / w for ind, w in zip(indicators, weights) if w > 0]
+    bel_nu, *bel_classes = wonham_filter_batch(model, starts, incs, dt, keep_every=n)
     class_mass = np.einsum("ptd,kd->ptk", bel_nu, indicators)
     true_mass = indicators[:, paths.x0].T               # (n_paths, n_classes)
     err = np.abs(class_mass[:, -1, :] - true_mass)
@@ -477,12 +480,7 @@ def ergodic_class_detection(
 
     # decomposition identity on each path, at the terminal time
     recomposed = np.zeros_like(bel_nu[:, -1, :])
-    for k, cls in enumerate(classes):
-        mass = float(indicators[k] @ nu)
-        if mass <= 0:
-            continue
-        nu_k = nu * indicators[k] / mass
-        bel_k = wonham_filter_batch(model, nu_k, incs, dt, keep_every=n)
+    for k, bel_k in zip(np.flatnonzero(np.array(weights) > 0), bel_classes):
         recomposed += class_mass[:, -1, k][:, None] * bel_k[:, -1, :]
     max_gap = float(np.abs(recomposed - bel_nu[:, -1, :]).max())
     # class mass along nu-paths is a martingale; report the mean drift

@@ -237,10 +237,11 @@ def rk4_riccati(model, sigma0, n_steps, dt):
 
 
 def kalman_bucy_loop(model, obs) -> GaussianBeliefPath:
-    """Euler mean loop over RK4 covariances at a quarter of the grid step,
-    where RK4's own error is far below the exact flow's roundoff."""
+    """Euler mean loop over RK4 covariances at a sixteenth of the grid step,
+    where RK4's own error is far below the exact flow's roundoff (at a
+    quarter step it reached 1.5e-12 of the largest entry in this family)."""
     n, dt = obs.n_steps, obs.dt
-    covs = rk4_riccati(model, model.cov0, 4 * n, dt / 4.0)[::4]
+    covs = rk4_riccati(model, model.cov0, 16 * n, dt / 16.0)[::16]
     _check_psd(covs)
     means = np.empty((n + 1, model.dim))
     means[0] = model.mean0

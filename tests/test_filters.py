@@ -15,9 +15,8 @@ from dualfilter.catalog import counter_example, scalar_lg, two_state
 from dualfilter import filters
 from dualfilter._linalg import fractional_flow
 from dualfilter.filters import (_check_psd, innovation_path, kalman_bucy, kf_markov_chain,
-                                riccati_half_grid, solve_are, wonham_blocks, wonham_filter,
-                                wonham_filter_batch, zakai_filter, zakai_operator,
-                                zakai_operator_blocks)
+                                forward_blocks, riccati_half_grid, solve_are, wonham_blocks,
+                                wonham_filter, wonham_filter_batch, zakai_filter, zakai_operator)
 from dualfilter.models import LinearGaussianModel, NumericalFailure
 from dualfilter.sim import (ObservationPath, batch_hmm_observations, simulate_hmm,
                             simulate_linear_gaussian)
@@ -281,6 +280,51 @@ class TestForwardKernel:
         assert (batch.value.step, batch.value.path) == (1, 2)
 
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n_paths", [1, 3, 4, 40])
+    def test_stacked_priors_match_one_prior_passes(self, d, n_paths):
+        # K priors run as the K columns of one pass; column k must be prior
+        # k's own pass, across block edges that differ between the two (the
+        # block length shrinks with K): bit for bit on 4 paths or more, while
+        # on fewer OpenBLAS may take another kernel for the narrow products
+        rng = np.random.default_rng(10 * d + n_paths)
+        m, n = random_hmm(rng, d=d, m=2), 300
+        incs = 0.1 * rng.standard_normal((n_paths, n, 2))
+        tol = 0.0 if n_paths >= 4 else 1e-15
+        for k_cols in (2, 3):
+            priors = rng.dirichlet(np.ones(d), size=k_cols)
+            for keep in (1, 3, n):
+                stacked = wonham_filter_batch(m, priors, incs, 0.01, keep_every=keep)
+                assert stacked.shape == (k_cols, n_paths, n // keep + 1, d)
+                for prior, bel in zip(priors, stacked):
+                    one = wonham_filter_batch(m, prior, incs, 0.01, keep_every=keep)
+                    assert np.abs(bel - one).max() <= tol
+
+    def test_stacked_failure_names_the_first_step_then_the_lowest_path(self):
+        # frozen chain, state j seen on channel j: a zero increment on channel
+        # j underflows only the column started at state j
+        m = make_hmm(np.zeros((2, 2)), [[40.0, 0.0], [0.0, 40.0]])
+        incs = np.full((5, 10, 2), 20.0)
+        incs[3, 2, 1] = incs[1, 4, 0] = 0.0       # column 1: path 3, step 2; column 0: path 1, step 4
+        with pytest.raises(NumericalFailure, match=r"underflow \(step 2, path 3\)$"):
+            wonham_filter_batch(m, np.eye(2), incs, 1.0)
+        incs[4, 2, 0] = incs[2, 2, 1] = 0.0       # step 2 again: column 0 on path 4, column 1 on path 2
+        with pytest.raises(NumericalFailure) as batch:
+            wonham_filter_batch(m, np.eye(2), incs, 1.0)
+        assert (batch.value.step, batch.value.path) == (2, 2)
+
+    @pytest.mark.parametrize("run", [
+        lambda m, p, obs: wonham_filter(m, p, obs),
+        lambda m, p, obs: zakai_filter(m, p, obs),
+        lambda m, p, obs: wonham_filter_batch(m, p, obs.increments[None], obs.dt),
+        lambda m, p, obs: wonham_filter_batch(m, [p, p], obs.increments[None], obs.dt),
+        lambda m, p, obs: forward_backward_smoother(m, obs, prior=p),
+    ], ids=["wonham", "zakai", "batch", "batch-stack", "smoother"])
+    def test_prior_of_the_wrong_length_is_rejected(self, run):
+        m = random_hmm(np.random.default_rng(3), d=3)
+        with pytest.raises(ValueError, match="prior has 2 states, model has 3"):
+            run(m, [0.5, 0.5], zero_obs(4, 0.1))
+
 class TestZakai:
     def test_no_information_keeps_unit_mass(self):
         m = counter_example()
@@ -447,7 +491,7 @@ class TestZakaiOperatorKernel:
                for k in range(n_paths)]
         for budget in (filters.BLOCK_ELEMENTS, 0):
             monkeypatch.setattr(filters, "BLOCK_ELEMENTS", budget)
-            blocks = list(zakai_operator_blocks(model, incs, dt))
+            blocks = list(forward_blocks(model, np.eye(model.dim), incs, dt, shift=True))
             steps = [logs.shape[0] - 1 for _, logs in blocks]
             assert min(steps) >= 1 and sum(steps) == n
             for (rows, logs), (next_rows, next_logs) in zip(blocks, blocks[1:]):

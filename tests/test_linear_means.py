@@ -8,8 +8,9 @@ loops it replaced live in ``loop_oracles`` (the RK4 re-integration is tested
 with ``rk4`` in ``test_ode``).  The scan reorders the arithmetic of each
 step, so means agree to a relative 1e-12, and so do the data-free
 covariances, which the package runs as linear-fractional flows where the
-loops step the Riccati recursion (by RK4 at a quarter step for Kalman-Bucy);
-the random draws are unchanged bit for bit, and so is the RTS covariance
+loops step the Riccati recursion (by RK4 at a sixteenth of the step for
+Kalman-Bucy, where a quarter step left RK4's own error at 1.5e-12); the
+random draws are unchanged bit for bit, and so is the RTS covariance
 sweep over one and the same filter pass.  The backward passes start every
 step from the forward covariance node.  The dual-LQ oracle integrates the
 covariance backward again beside the state; the minimum-energy oracle takes
@@ -21,7 +22,7 @@ the short horizons used here each agrees to 1e-12 absolute.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hmm
@@ -96,6 +97,7 @@ def test_simulation_noise_is_the_per_step_draws(seed, d, m):
 
 @settings(max_examples=10, deadline=None)
 @given(seeds, dims, channels)
+@example(seed=3454, d=4, m=2)       # RK4 at a quarter step was 1.5e-12 from the exact flow here
 def test_kalman_bucy_matches_loop(seed, d, m):
     model = lg_model(seed, d, m)
     _, obs = simulate_linear_gaussian(model, HORIZON, DT, seed)

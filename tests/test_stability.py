@@ -1,5 +1,7 @@
 """Divergences, Poincare constants, twin-filter stability experiments."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,6 +255,18 @@ class TestErgodicClassDetection:
         drift = rep["class_mass_drift"]
         se = rep["class_mass_drift_stderr"]
         assert np.all(np.abs(drift) <= 3 * se)
+
+    def test_class_without_nu_mass_is_left_out(self):
+        # nu puts no mass on the second class, whose conditional prior would
+        # be 0/0: it stays out of the pass, the first class alone recomposes
+        # the filter, and the filter from nu knows every path's class
+        m = two_class_demo()
+        nu = np.array([0.5, 0.5, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = ergodic_class_detection(m, PriorPair.of(nu, nu), 5.0, 0.01, 50, seed=17)
+        assert rep["decomposition_gap"] == 0.0
+        assert np.array_equal(rep["detection_error"], [0.0, 0.0])
 
     def test_transient_states_rejected(self):
         a = np.array([
