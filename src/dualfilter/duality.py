@@ -196,9 +196,9 @@ def gramian_mc(model: HmmModel, horizon: float, dt: float, n_paths: int, seed) -
     motion); each path accumulates
     ``11^T + sum_k Psi_k^T H H^T Psi_k dt`` with the Zakai solution operator
     from the shared splitting scheme.  The operators of all paths come from
-    :func:`~dualfilter.filters.forward_blocks` from ``I``, and each block's
-    terms are summed before the next one is formed, so memory is
-    O(paths d^2) beside the increments and one block (c + 1, d, d, paths),
+    :func:`~dualfilter.filters.forward_blocks` from ``I``, and each 16-step
+    block's terms are summed before the next one is formed, so memory is
+    O(paths d^2) beside the increments and one block (17, d, d, paths),
     reduced with one ``H^T Psi`` product and sums along the path axis.
     Returns the sample mean and the entrywise standard error; a column whose
     mass underflows (see :class:`~dualfilter.filters.ZakaiOperatorPath`)
@@ -353,8 +353,6 @@ def dual_lq_linear_gaussian(model: LinearGaussianModel, f, horizon: float, dt: f
     Simpson quadrature; it reproduces ``f^T Sigma_T f`` up to integration
     error.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
     n = n_steps_for(horizon, dt)
     weight = np.broadcast_to(model.noise_cov, (4 * n + 1, model.dim, model.dim))
     return _closed_loop_backward(model.a_mat, model.h_mat, weight,

@@ -17,11 +17,12 @@ state axis first and the path axis last and contiguous, so each step is
 ``step^T x``, a multiply by the likelihoods broadcast along the path axis,
 ``ones @ x`` for the masses and one divide, every one of them along rows as
 long as the batch.  It renormalizes every step and records the mass it
-divides out.  A single record runs it in about ``sqrt(n)`` chunks side by
-side, one chunk per path (:func:`_scan`); a batch of records, in one stream
-a block of steps at a time (:func:`forward_blocks`), from K starts shared
-by every path, each path's likelihoods broadcast over its K columns: the
-identity's for the Zakai solution operator, or Wonham priors, so twin and
+divides out, from K start columns that each take their path's
+likelihoods.  A single record runs in about ``sqrt(n)`` chunks side by
+side, one chunk per path (:func:`_scan`): a filter or smoother pass from
+one column, the Zakai solution operator from the identity's d.  A batch
+runs in one stream of ``BATCH_BLOCK``-step blocks (:func:`forward_blocks`):
+the gramian's operators from the identity, or Wonham priors, so twin and
 class-decomposition filters on the same records are one pass
 (:func:`wonham_blocks`).  The gramian and the stability reductions reduce
 the blocks as they come, formed time- and state-major from the increments.
@@ -48,8 +49,7 @@ Array = NDArray[np.float64]
 
 MASS_FLOOR = 1e-300
 SCAN_FLOOR = 1e-200      # smallest chunk-start mass the chunked scan trusts
-BATCH_BLOCK = 16         # fewest steps of likelihoods a batch forms at once
-BLOCK_ELEMENTS = 2 ** 15  # row elements a longer block may hold
+BATCH_BLOCK = 16         # steps of likelihoods a batch forms at once
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class ZakaiOperatorPath:
     Columns are stored renormalized:
     ``Psi(t_k)[:, j] = exp(log_scale[k, j]) * psi[k][:, j]``, where each
     column of ``psi[k]`` sums to one and ``log_scale[k, j]`` is the log mass
-    of column ``j``.  As in the Zakai filter, every step's largest log
+    of column ``j``, the Zakai filter from ``e_j``: every step's largest log
     likelihood is factored out and goes into ``log_scale`` with the mass the
     kernel divides out, so no column over- or underflows silently: a column
     whose peak-shifted mass drops below ``MASS_FLOOR`` (a state whose
@@ -116,11 +116,14 @@ class ZakaiOperatorPath:
     def apply(self, measure) -> UnnormalizedPath:
         """``Psi_t mu`` along the grid, in the form :func:`zakai_filter`
         returns: rows ``Psi_t mu / |Psi_t mu|(1)`` and the log of that total
-        mass (``log sigma_t(1)`` for a measure ``mu``; a signed ``mu`` gives
-        rows whose absolute values sum to one).  Each step's largest log
-        weight ``log_scale + log |mu|`` is factored out first, so the masses
-        stay finite where ``sigma_t(1)`` leaves float range."""
+        mass (``log sigma_t(1)`` for a measure ``mu`` of d entries, any other
+        length a ``ValueError``; a signed ``mu`` gives rows whose absolute
+        values sum to one).  Each step's largest log weight ``log_scale +
+        log |mu|`` is factored out first, so the masses stay finite where
+        ``sigma_t(1)`` leaves float range."""
         mu = np.asarray(measure, dtype=float)
+        if mu.shape != self.psi.shape[2:]:
+            raise ValueError(f"measure has shape {mu.shape}, operator has {self.psi.shape[2]} states")
         with np.errstate(divide="ignore"):            # log 0 = -inf drops a column
             log_w = self.log_scale + np.log(np.abs(mu))
         shift = log_w.max(axis=1, keepdims=True)
@@ -188,20 +191,22 @@ def _advance(step: Array, like: Array, x: Array, rows: Array, mass: Array, first
 
 
 def _scan(step: Array, log_like: Array, x0: Array, shift: bool) -> tuple[Array, Array]:
-    """Rows (n + 1, d) and log normalizer (n + 1,) of one record ``log_like``
-    (n, d) through :func:`_advance` in about ``3 sqrt(n)`` vector operations;
-    ``shift`` factors each step's largest log likelihood out before ``exp``.
+    """Rows (n + 1, d, K) and log masses (n + 1, K) of one record ``log_like``
+    (n, d) through :func:`_advance` from the K columns of ``x0`` (d, K), in
+    about ``3 sqrt(n)`` vector operations; ``shift`` factors each step's
+    largest log likelihood out before ``exp``.
 
     Products of k chunks of ``c = isqrt(n)`` steps, built side by side, carry
-    the rows from chunk start to chunk start (no factor is negative, so
+    the columns from chunk start to chunk start (no factor is negative, so
     nothing cancels); then the kernel runs in all chunks at once, chunk
-    ``j`` as its path ``j``.  If that leaves the range the scan trusts, the
-    record runs step by step.
+    ``j`` as its path ``j``.  If a column's chunk start leaves the range the
+    scan trusts, or a mass fails, the record runs step by step, and a
+    failure there names only its step.
     """
-    n, d = log_like.shape
+    (n, d), k_cols = log_like.shape, x0.shape[1]
     peak = log_like.max(axis=1) if shift else np.zeros(n)
     like = np.exp(log_like - peak[:, None])
-    rows, logn = np.empty((n + 1, d)), np.zeros(n + 1)
+    rows, logn = np.empty((n + 1, d, k_cols)), np.zeros((n + 1, k_cols))
     rows[0], mass = x0, logn[1:]                      # masses first, logs at the end
     c = max(1, math.isqrt(n))
     k = n // c
@@ -211,26 +216,33 @@ def _scan(step: Array, log_like: Array, x0: Array, shift: bool) -> tuple[Array, 
         for i in range(c):
             prod = (prod @ step).reshape(k, d, d) * chunks[:, i, None, :]
             prod = (prod / prod.max(axis=(1, 2), keepdims=True)).reshape(k * d, d)
-    starts = rows[:k * c + 1:c]
+    starts = rows[:k * c + 1:c]                       # (k + 1, d, K)
     try:
         for j in range(k):
-            v = starts[j] @ prod[j * d:(j + 1) * d]
-            if not SCAN_FLOOR < v.sum() < np.inf:
+            v = prod[j * d:(j + 1) * d].T @ starts[j]
+            s = v.sum(axis=0)                         # each column's mass
+            if not SCAN_FLOOR < s.min() <= s.max() < np.inf:
                 raise NumericalFailure("chunk product out of range")
-            starts[j + 1] = v / v.sum()
-        _advance(step, chunks.transpose(1, 2, 0), starts[:k].T[:, None],
-                 rows[1:k * c + 1].reshape(k, c, d).transpose(1, 2, 0)[:, :, None],
-                 mass[:k * c].reshape(k, c).T[:, None])
-        _advance(step, like[k * c:, :, None], starts[k:].T[:, None],
-                 rows[k * c + 1:, :, None, None], mass[k * c:, None, None])
+            starts[j + 1] = v / s
+        _advance(step, chunks.transpose(1, 2, 0), starts[:k].transpose(1, 2, 0),
+                 rows[1:k * c + 1].reshape(k, c, d, k_cols).transpose(1, 2, 3, 0),
+                 mass[:k * c].reshape(k, c, k_cols).transpose(1, 2, 0))
+        _advance(step, like[k * c:, :, None], starts[k, :, :, None],
+                 rows[k * c + 1:, :, :, None], mass[k * c:, :, None])
     except NumericalFailure:
         try:
-            _advance(step, like[:, :, None], x0[:, None, None], rows[1:, :, None, None],
-                     mass[:, None, None])
+            _advance(step, like[:, :, None], x0[:, :, None], rows[1:, :, :, None], mass[:, :, None])
         except NumericalFailure as exc:                 # one record: the step says it all
             raise NumericalFailure(exc.reason, exc.step) from None
-    np.cumsum(np.log(mass) + peak, out=mass)
+    np.cumsum(np.log(mass) + peak[:, None], axis=0, out=mass)
     return rows, logn
+
+
+def _record_scan(model: HmmModel, obs, x0: Array, shift: bool) -> tuple[Array, Array]:
+    """:func:`_scan` of the observation record ``obs`` from the columns of ``x0``."""
+    _check_hmm_inputs(model, obs)
+    return _scan(expm(model.rate.entries.T * obs.dt).T,
+                 _log_likelihoods(model.obs.entries, obs.increments, obs.dt), x0, shift)
 
 
 def _prior_entries(model: HmmModel, prior) -> Array:
@@ -242,11 +254,8 @@ def _prior_entries(model: HmmModel, prior) -> Array:
 
 def wonham_filter(model: HmmModel, prior, obs) -> BeliefPath:
     """Optimal nonlinear filter of a finite-state chain, renormalized each step."""
-    _check_hmm_inputs(model, obs)
-    beliefs, _ = _scan(expm(model.rate.entries.T * obs.dt).T,
-                       _log_likelihoods(model.obs.entries, obs.increments, obs.dt),
-                       _prior_entries(model, prior), shift=False)
-    return BeliefPath(dt=obs.dt, beliefs=beliefs)
+    beliefs, _ = _record_scan(model, obs, _prior_entries(model, prior)[:, None], shift=False)
+    return BeliefPath(dt=obs.dt, beliefs=beliefs[:, :, 0])
 
 
 def wonham_filter_batch(model: HmmModel, prior, increments: Array, dt: float,
@@ -285,42 +294,44 @@ def wonham_blocks(model: HmmModel, prior, increments: Array, dt: float, keep_eve
 def forward_blocks(model: HmmModel, starts: Array, increments: Array, dt: float,
                    shift: bool = False):
     """The forward kernel from the K columns of ``starts`` (d, K), shared by
-    every record of ``increments`` (n_paths, n_steps, m), a block of ``c``
-    steps at a time: ``(rows, logs)``, shaped (c + 1, d, K, n_paths) and
-    (c + 1, K, n_paths), hold column ``j`` of path ``p`` normalized in
-    ``rows[k, :, j, p]`` and its log mass in ``logs[k, j, p]`` at the
-    block's grid points, the first of which ends the previous block.
-    ``shift`` factors each step's largest log likelihood into the log masses
-    (the Zakai operator, from ``I``); the Wonham filters run raw
-    likelihoods.  A mass out of range raises a ``NumericalFailure`` naming
-    its step and path.
+    every record of a batch ``increments`` (n_paths, n_steps, m), a block of
+    ``BATCH_BLOCK`` steps at a time: ``(rows, logs)``, shaped
+    (c + 1, d, K, n_paths) and (c + 1, K, n_paths), hold column ``j`` of
+    path ``p`` normalized in ``rows[k, :, j, p]`` at the block's grid
+    points, the first of which ends the previous block.  ``shift`` factors
+    each step's largest log likelihood into the log masses ``logs[k, j, p]``
+    (the Monte-Carlo gramian, from ``I``).  Without it (the Wonham filters,
+    raw likelihoods) ``logs[1:]`` holds the mass each step divides out, not
+    its log, and ``logs[0]`` the previous block's last (1 at the start).
+    A mass out of range raises a ``NumericalFailure`` naming its step and
+    path.
     """
     (d, k_cols), n_paths = starts.shape, increments.shape[0]
     step = expm(model.rate.entries.T * dt).T
-    x, log_scale = starts[:, :, None], np.zeros((k_cols, 1))   # one start for every path
-    for b, log_like in _likelihood_blocks(model.obs.entries, increments, dt, n_paths * d * k_cols):
+    x = starts[:, :, None]                            # one start for every path
+    scale = np.zeros((k_cols, 1)) if shift else np.ones((k_cols, 1))
+    for b, log_like in _likelihood_blocks(model.obs.entries, increments, dt):
         c = log_like.shape[0]
-        peak = log_like.max(axis=1, keepdims=True) if shift else 0.0
         rows, logs = np.empty((c + 1, d, k_cols, n_paths)), np.empty((c + 1, k_cols, n_paths))
-        rows[0], logs[0] = x, log_scale               # broadcast: K starts step as one prior does
+        rows[0], logs[0] = x, scale                   # broadcast: K starts step as one prior does
+        peak = log_like.max(axis=1, keepdims=True) if shift else 0.0
         log_like -= peak
         _advance(step, np.exp(log_like, out=log_like), rows[0], rows[1:], logs[1:], first=b)
-        logs[1:] = np.log(logs[1:]) + peak
-        np.cumsum(logs, axis=0, out=logs)
-        x, log_scale = rows[c].copy(), logs[c].copy()   # copies: the block is freed once reduced
+        if shift:
+            logs[1:] = np.log(logs[1:]) + peak
+            np.cumsum(logs, axis=0, out=logs)
+        x, scale = rows[c].copy(), logs[c].copy()     # copies: the block is freed once reduced
         yield rows, logs
 
 
-def _likelihood_blocks(h: Array, increments: Array, dt: float, row_elements: int):
-    """``(b, log_like)`` per block of steps ``b, b + 1, ...`` of ``increments``
-    (n_paths, n_steps, m): the :func:`_log_likelihoods`, formed time- and
-    state-major (c, d, n_paths) channel by channel, so a path's factors do
-    not depend on the batch it runs in; ``c`` is ``BATCH_BLOCK``, or more
-    while ``c row_elements <= BLOCK_ELEMENTS``."""
-    c = max(BATCH_BLOCK, BLOCK_ELEMENTS // max(row_elements, 1))
+def _likelihood_blocks(h: Array, increments: Array, dt: float):
+    """``(b, log_like)`` per block of ``BATCH_BLOCK`` steps ``b, b + 1, ...``
+    of ``increments`` (n_paths, n_steps, m): the :func:`_log_likelihoods`,
+    formed time- and state-major (c, d, n_paths) channel by channel, so a
+    path's factors do not depend on the batch it runs in."""
     quad = 0.5 * np.sum(h * h, axis=1)[:, None] * dt
-    for b in range(0, increments.shape[1], c):
-        inc = increments[:, b:b + c].T                # (m, c, n_paths)
+    for b in range(0, increments.shape[1], BATCH_BLOCK):
+        inc = increments[:, b:b + BATCH_BLOCK].T      # (m, c, n_paths)
         log_like = h[:, 0, None] * inc[0, :, None]
         for k in range(1, h.shape[1]):
             log_like += h[:, k, None] * inc[k, :, None]
@@ -334,27 +345,17 @@ def zakai_filter(model: HmmModel, prior, obs) -> UnnormalizedPath:
     The total mass is accumulated in log domain, so the path is well defined
     for horizons where ``sigma_t(1)`` itself would under- or overflow.
     """
-    _check_hmm_inputs(model, obs)
-    masses, logn = _scan(expm(model.rate.entries.T * obs.dt).T,
-                         _log_likelihoods(model.obs.entries, obs.increments, obs.dt),
-                         _prior_entries(model, prior), shift=True)
-    return UnnormalizedPath(dt=obs.dt, masses=masses, log_normalizer=logn)
+    masses, logn = _record_scan(model, obs, _prior_entries(model, prior)[:, None], shift=True)
+    return UnnormalizedPath(dt=obs.dt, masses=masses[:, :, 0], log_normalizer=logn[:, 0])
 
 
 def zakai_operator(model: HmmModel, obs) -> ZakaiOperatorPath:
     """Matrix solution operator ``Psi_t`` of the Zakai equation: the Zakai
-    filter on the columns of the identity (:func:`forward_blocks` with
-    ``shift``), so ``Psi_t`` applied to a prior reproduces the Zakai masses;
+    filter's scan (:func:`_scan` with ``shift``) from the d columns of the
+    identity, so ``Psi_t`` applied to a prior reproduces the Zakai masses;
     a column's mass underflow fails as :class:`ZakaiOperatorPath` says."""
-    _check_hmm_inputs(model, obs)
-    try:
-        blocks = list(forward_blocks(model, np.eye(model.dim), obs.increments[None], obs.dt,
-                                     shift=True))
-    except NumericalFailure as exc:                     # one record: the step says it all
-        raise NumericalFailure(exc.reason, exc.step) from None
-    psi = [np.eye(model.dim)[None]] + [rows[1:, :, :, 0] for rows, _ in blocks]
-    scales = [np.zeros((1, model.dim))] + [logs[1:, :, 0] for _, logs in blocks]
-    return ZakaiOperatorPath(dt=obs.dt, psi=np.concatenate(psi), log_scale=np.concatenate(scales))
+    psi, log_scale = _record_scan(model, obs, np.eye(model.dim), shift=True)
+    return ZakaiOperatorPath(dt=obs.dt, psi=psi, log_scale=log_scale)
 
 
 def innovation_path(model: HmmModel, beliefs: BeliefPath, obs) -> Array:
@@ -469,8 +470,8 @@ def solve_are(model: LinearGaussianModel) -> tuple[Array, bool]:
 def prior_flow(rate: Array, mu0: Array, n_steps: int, dt: float) -> Array:
     """Prior marginals ``mu_t = expm(A^T t) mu0`` at ``n_steps + 1`` grid
     points ``dt`` apart: the forward kernel with unit likelihoods."""
-    mu, _ = _scan(expm(rate.T * dt).T, np.zeros((n_steps, rate.shape[0])), mu0, shift=False)
-    return mu
+    mu, _ = _scan(expm(rate.T * dt).T, np.zeros((n_steps, rate.shape[0])), mu0[:, None], shift=False)
+    return mu[:, :, 0]
 
 
 def chain_riccati(model: HmmModel, n_steps: int, dt: float) -> tuple[Array, Array]:

@@ -202,6 +202,8 @@ class ObservationPath:
 
 
 def n_steps_for(horizon: float, dt: float) -> int:
+    if not (0.0 < dt < np.inf and 0.0 < horizon < np.inf):
+        raise ValueError(f"dt and horizon must be positive and finite, got {dt:g} and {horizon:g}")
     n = round(horizon / dt)
     if n < 1 or abs(n * dt - horizon) > GRID_ALIGN_TOL * max(1.0, horizon):
         raise ValueError(f"dt {dt:g} does not divide horizon {horizon:g}")
@@ -227,8 +229,6 @@ def simulate_linear_gaussian(
 
     Returns the state at every grid point, shape ``(n_steps + 1, d)``.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     n = n_steps_for(horizon, dt)
     rng = path_rng(seed, path_index)
     d, m = model.dim, model.n_channels

@@ -107,18 +107,18 @@ def forward_backward_smoother(model: HmmModel, obs, prior=None) -> SmoothingPath
     d = model.dim
     step = expm(model.rate.entries.T * dt).T      # expm(A dt); rows are beliefs
     log_like = _log_likelihoods(model.obs.entries, obs.increments, dt)
-    fwd, log_mass = _scan(step, log_like, prior, shift=True)
+    fwd, log_mass = _scan(step, log_like, prior[:, None], shift=True)
     with np.errstate(divide="ignore"):
-        log_fwd = np.log(fwd) + log_mass[:, None]
+        log_fwd = np.log(fwd[:, :, 0]) + log_mass
 
     log_bwd = np.zeros((n + 1, d))
     if n:
         peak = log_like[-1].max()
         w0 = np.exp(log_like[-1] - peak)
-        bwd, log_mass = _scan(step.T, log_like[:-1][::-1], w0 / w0.sum(), shift=True)
+        bwd, log_mass = _scan(step.T, log_like[:-1][::-1], (w0 / w0.sum())[:, None], shift=True)
         log_mass += peak + np.log(w0.sum())
         with np.errstate(divide="ignore"):
-            log_bwd[:-1] = np.log(bwd[::-1] @ step.T) + log_mass[::-1, None]
+            log_bwd[:-1] = np.log(bwd[::-1, :, 0] @ step.T) + log_mass[::-1]
 
     joint = log_fwd + log_bwd
     peak = joint.max(axis=1, keepdims=True)               # row log-sum-exp, shifted by the peak

@@ -1,5 +1,7 @@
 """Filter recursions: Wonham, Zakai, solution operator, Kalman-Bucy, chain KF."""
 
+import math
+import re
 import warnings
 
 import numpy as np
@@ -14,9 +16,10 @@ from loop_oracles import (forward_backward_loop, rk4_riccati, wonham_batch_loop,
 from dualfilter.catalog import counter_example, scalar_lg, two_state
 from dualfilter import filters
 from dualfilter._linalg import fractional_flow
-from dualfilter.filters import (_check_psd, innovation_path, kalman_bucy, kf_markov_chain,
-                                forward_blocks, riccati_half_grid, solve_are, wonham_blocks,
-                                wonham_filter, wonham_filter_batch, zakai_filter, zakai_operator)
+from dualfilter.filters import (ZakaiOperatorPath, _check_psd, innovation_path, kalman_bucy,
+                                kf_markov_chain, forward_blocks, riccati_half_grid, solve_are,
+                                wonham_blocks, wonham_filter, wonham_filter_batch, zakai_filter,
+                                zakai_operator)
 from dualfilter.models import LinearGaussianModel, NumericalFailure
 from dualfilter.sim import (ObservationPath, batch_hmm_observations, simulate_hmm,
                             simulate_linear_gaussian)
@@ -168,6 +171,14 @@ def assert_scan_matches_loop(m, obs):
     assert np.abs(unn.log_normalizer - ref.log_normalizer).max() <= 1e-12 * max(1, n)
     sm = forward_backward_smoother(m, obs).smoothed
     assert np.abs(sm - forward_backward_loop(m, obs).smoothed).max() <= 1e-13
+    # the operator's columns are Zakai filters from the unit vectors: the
+    # same bounds, on the oracle's columns renormalized (an entrywise log
+    # comparison means nothing for entries in the subnormal range, which
+    # rates such as 2e-309 reach)
+    op, ref = zakai_operator(m, obs), zakai_operator_loop(m, obs)
+    mass = ref.psi.sum(axis=1)
+    assert np.abs(op.psi - ref.psi / mass[:, None]).max() <= 1e-13
+    assert np.abs(op.log_scale - (ref.log_scale + np.log(mass))).max() <= 1e-12 * max(1, n)
 
 
 class TestForwardKernel:
@@ -242,6 +253,15 @@ class TestForwardKernel:
         unn = zakai_filter(m, m.prior, obs).masses
         assert np.abs(unn - zakai_loop(m, m.prior, obs).masses).max() <= 1e-13
 
+    def test_column_below_the_scan_floor_runs_step_by_step(self):
+        # frozen chain: state 2's shifted likelihood is 1e-20 of state 1's
+        # every step, so the identity's second column keeps a mass of 1e-20
+        # per step but ends each 14-step chunk below SCAN_FLOOR
+        m = make_hmm(np.zeros((2, 2)), [0.0, np.sqrt(40.0 * np.log(10.0))])
+        obs = zero_obs(200, 1.0)
+        assert 1e-20 ** math.isqrt(obs.n_steps) < filters.SCAN_FLOOR < 1e-20
+        assert_scan_matches_loop(m, obs)
+
     def test_short_underflow_record_warns_nothing(self):
         m = make_hmm([[-1.0, 1.0], [1.0, -1.0]], [800.0, -800.0])
         obs = ObservationPath(dt=1.0, increments=np.ones((3, 1)))
@@ -284,9 +304,9 @@ class TestForwardKernel:
     @pytest.mark.parametrize("n_paths", [1, 3, 4, 40])
     def test_stacked_priors_match_one_prior_passes(self, d, n_paths):
         # K priors run as the K columns of one pass; column k must be prior
-        # k's own pass, across block edges that differ between the two (the
-        # block length shrinks with K): bit for bit on 4 paths or more, while
-        # on fewer OpenBLAS may take another kernel for the narrow products
+        # k's own pass, across the 16-step block edges and the keep_every
+        # intervals they split: bit for bit on 4 paths or more, while on
+        # fewer OpenBLAS may take another kernel for the narrow products
         rng = np.random.default_rng(10 * d + n_paths)
         m, n = random_hmm(rng, d=d, m=2), 300
         incs = 0.1 * rng.standard_normal((n_paths, n, 2))
@@ -450,6 +470,22 @@ class TestZakaiOperator:
                + b * np.exp(p_nu.log_normalizer - lhs.log_normalizer)[:, None] * p_nu.masses)
         assert np.abs(lhs.masses - rhs).max() <= 1e-10
 
+    @pytest.mark.parametrize("measure", [[1.0], np.full(5, 0.2), np.eye(4)])
+    def test_apply_rejects_a_measure_of_the_wrong_length(self, measure):
+        m = random_hmm(np.random.default_rng(2), d=4)
+        op = zakai_operator(m, zero_obs(3, 0.1))
+        # once broadcast over the columns: apply([1.0]) returned a result
+        msg = f"measure has shape {np.shape(measure)}, operator has 4 states"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            op.apply(measure)
+
+
+def joined(blocks):
+    """Rows and logs of a :func:`forward_blocks` stream, joined along time."""
+    blocks = list(blocks)
+    return (np.concatenate([blocks[0][0][:1]] + [r[1:] for r, _ in blocks]),
+            np.concatenate([blocks[0][1][:1]] + [g[1:] for _, g in blocks]))
+
 
 def assert_same_operator(op, ref):
     """``Psi(t_k)`` entrywise to 1e-12 relative, scales folded in; compared
@@ -481,27 +517,26 @@ class TestZakaiOperatorKernel:
 
     @pytest.mark.parametrize("model, n_paths", [
         (counter_example(), 3), (random_hmm(np.random.default_rng(5), d=3, m=2), 5)])
-    def test_block_stream_matches_each_record(self, model, n_paths, monkeypatch):
-        # at the module's element budget and at none (16-step blocks), the
-        # blocks chain and cover every step, and path k of the batch must be
-        # the operator of path k's record alone, bit for bit
+    def test_block_stream_matches_each_record(self, model, n_paths):
+        # the blocks chain and cover every step; path k of the batch must be
+        # a one-path stream on path k's record, bit for bit, and the
+        # single-record operator of that record
         n, dt = 1500, 0.01
         _, incs = batch_hmm_observations(model, n * dt, dt, n_paths, seed=7, measure="P_tilde")
-        ops = [zakai_operator(model, ObservationPath(dt=dt, increments=incs[k]))
-               for k in range(n_paths)]
-        for budget in (filters.BLOCK_ELEMENTS, 0):
-            monkeypatch.setattr(filters, "BLOCK_ELEMENTS", budget)
-            blocks = list(forward_blocks(model, np.eye(model.dim), incs, dt, shift=True))
-            steps = [logs.shape[0] - 1 for _, logs in blocks]
-            assert min(steps) >= 1 and sum(steps) == n
-            for (rows, logs), (next_rows, next_logs) in zip(blocks, blocks[1:]):
-                assert np.array_equal(next_rows[0], rows[-1])
-                assert np.array_equal(next_logs[0], logs[-1])
-            rows = np.concatenate([blocks[0][0][:1]] + [r[1:] for r, _ in blocks])
-            logs = np.concatenate([blocks[0][1][:1]] + [g[1:] for _, g in blocks])
-            for k, op in enumerate(ops):
-                assert np.array_equal(rows[..., k], op.psi)
-                assert np.array_equal(logs[..., k], op.log_scale)
+        blocks = list(forward_blocks(model, np.eye(model.dim), incs, dt, shift=True))
+        steps = [logs.shape[0] - 1 for _, logs in blocks]
+        assert min(steps) >= 1 and sum(steps) == n
+        for (rows, logs), (next_rows, next_logs) in zip(blocks, blocks[1:]):
+            assert np.array_equal(next_rows[0], rows[-1])
+            assert np.array_equal(next_logs[0], logs[-1])
+        rows, logs = joined(blocks)
+        for k in range(n_paths):
+            one_rows, one_logs = joined(forward_blocks(model, np.eye(model.dim), incs[k:k + 1], dt,
+                                                       shift=True))
+            assert np.array_equal(rows[..., k], one_rows[..., 0])
+            assert np.array_equal(logs[..., k], one_logs[..., 0])
+            op = zakai_operator(model, ObservationPath(dt=dt, increments=incs[k]))
+            assert_same_operator(op, ZakaiOperatorPath(dt=dt, psi=rows[..., k], log_scale=logs[..., k]))
 
     def test_column_underflow_fails_like_the_filter(self):
         # frozen chain: state 2's likelihood is exp(-800) of state 1's at

@@ -127,6 +127,16 @@ class TestObservation:
         m = counter_example()
         with pytest.raises(ValueError, match="divide"):
             simulate_hmm(m, 1.0, 0.3, seed=1)
+        # a grid that is not positive and finite names both values, for
+        # every sampler (once ZeroDivisionError and OverflowError)
+        for horizon, dt in [(1.0, 0.0), (np.inf, 0.1), (1.0, -0.1), (-1.0, 0.1), (1.0, np.nan)]:
+            msg = f"dt and horizon must be positive and finite, got {dt:g} and {horizon:g}"
+            with pytest.raises(ValueError, match=msg):
+                simulate_hmm(m, horizon, dt, seed=1)
+            with pytest.raises(ValueError, match=msg):
+                batch_hmm_observations(m, horizon, dt, 2, seed=1)
+            with pytest.raises(ValueError, match=msg):
+                simulate_linear_gaussian(scalar_lg(), horizon, dt, seed=1)
 
 
 class TestLinearGaussian:
