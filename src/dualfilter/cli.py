@@ -124,7 +124,7 @@ def run(config: ExperimentConfig) -> int:
         checks, values, files = runner(config, model)
         failure = None
     except NumericalFailure as exc:
-        failure = exc
+        failure, files = exc, {}
     except np.linalg.LinAlgError:
         raise
     except ValueError as exc:       # the library rejects this model for this experiment
@@ -133,9 +133,9 @@ def run(config: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "manifest.json",
                 {"schema": SCHEMA_VERSION, "version": __version__, "config": asdict(config)})
+    for name in {name for e in EXPERIMENTS.values() for name in e.files} - files.keys():
+        (out / name).unlink(missing_ok=True)      # no CSV of an earlier run stays behind
     if failure is not None:
-        for name in experiment.files:
-            (out / name).unlink(missing_ok=True)
         _write_json(out / "summary.json", {"experiment": config.experiment, "error": str(failure)})
         click.echo(f"numerical failure: {failure}", err=True)
         return 1

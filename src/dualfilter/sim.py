@@ -6,17 +6,21 @@ paths carry no discretization error.  Each categorical draw (the initial
 state, the state after a jump) is one uniform looked up in a cumulative
 distribution that is built once per call: the uniform, the table and the
 search are those of ``Generator.choice``, so the paths are the ones
-``choice`` would draw.  Observation increments on a uniform grid integrate
-the drift ``h(X_s)`` exactly across jumps inside each step before adding
-the Brownian increment; under the reference measure the increments are
-pure Brownian noise, independent of the state path.
+``choice`` would draw.
+
+Observation increments ``dZ = h(X_t) dt + dW`` on the grid ``t_k = k dt``
+integrate the drift exactly: step ``k`` is its Brownian increment plus
+``h(X_{t_k}) dt`` (the state at the step's start, right-continuous), plus,
+in time order, ``(h(new) - h(old)) (t_{k+1} - tau)`` for each jump at
+``tau`` in ``(t_k, t_{k+1}]``, which is exactly 0 for a jump on a grid
+point.  Under the reference measure the increments are pure Brownian
+noise, independent of the state path.
 
 Path ``k`` draws from its own generator ``path_rng(seed, k)``: the chain
 first, then the noise.  A Monte-Carlo batch keeps its chains in one
-concatenated layout (:class:`PathBatch`) and forms every path's
-occupation integral with the arithmetic of
-:meth:`StatePath.occupation_integral`, so path ``k`` is the same in any
-batch and, under ``P``, in :func:`simulate_hmm`.
+concatenated layout (:class:`PathBatch`); each increment's arithmetic
+involves its own path alone, so path ``k`` is the same in any batch and,
+under ``P``, in :func:`simulate_hmm`.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ Array = NDArray[np.float64]
 
 ABSORBING_RATE = 1e-14    # below this total exit rate a state is absorbing
 GRID_ALIGN_TOL = 1e-9
-OCCUPATION_BLOCK = 1 << 18  # paths x grid points per block of a batch's occupation integrals
+DRIFT_BLOCK = 1 << 18    # paths x steps per block of a batch's drift levels
 
 Measure = Literal["P", "P_tilde"]
 
@@ -72,9 +76,15 @@ class StatePath:
         """Exact ``int_0^{grid[k]} values[X_s] ds`` at every point of an increasing grid.
 
         ``values`` maps each state to a (possibly vector) integrand level;
-        the integral is piecewise linear in t with kinks at the jumps.
+        the integral is piecewise linear in t with kinks at the jumps: the
+        areas of the segments before the one holding ``grid[k]``, plus that
+        segment's level times the time since it started.
         """
-        return _occupation(self.jump_times, self.states, np.array([0, self.states.size]), values, grid)[0]
+        times = np.append(self.jump_times, self.horizon)
+        levels = np.asarray(values, dtype=float)[self.states].T       # (..., segments)
+        cum = np.cumsum(np.insert(np.diff(times) * levels, 0, 0.0, axis=-1), axis=-1)
+        idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, len(self.states) - 1)
+        return (cum[..., idx] + (np.asarray(grid, dtype=float) - times[idx]) * levels[..., idx]).T
 
 
 @dataclass(frozen=True)
@@ -137,39 +147,6 @@ def _check_paths(t: Array, s: NDArray[np.int64], offsets: NDArray[np.int64], hor
         raise ValueError("jump times must start at 0, increase strictly, and stay within the horizon")
     if np.any((s[1:] == s[:-1])[inner]):
         raise ValueError("consecutive states must differ")
-
-
-def _occupation(t: Array, s: NDArray[np.int64], offsets: NDArray[np.int64], values: Array,
-                grid: Array) -> Array:
-    """``int_0^{grid[i]} values[X_s] ds`` for every path of a segment layout,
-    shape ``(paths, len(grid)) + values.shape[1:]``.
-
-    Per path this is one arithmetic, whatever the batch: a cumulative sum
-    of segment areas up to the segment that holds the grid point, plus the
-    level times the time since that segment started.
-    """
-    values = np.asarray(values, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    levels = values[s]
-    tail = levels.shape[1:]
-    col = (-1,) + (1,) * len(tail)
-    lens = np.diff(offsets)
-    last = offsets[1:] - 1
-    width = np.diff(t, append=0.0)          # a path's last width is never summed
-    path_of = np.repeat(np.arange(lens.size), lens)
-    pos = np.arange(t.size) - offsets[path_of]
-    area = np.zeros((lens.size, lens.max(initial=0)) + tail)
-    area[path_of, pos] = width.reshape(col) * levels
-    cum = np.concatenate([np.zeros((lens.size, 1) + tail), np.cumsum(area, axis=1)], axis=1)
-    before = cum[path_of, pos]             # area of the path's earlier segments
-    # the segment holding grid point i is the last one with start <= grid[i]
-    first = np.searchsorted(grid, t, side="left")
-    first[offsets[:-1]] = 0
-    upto = np.append(first[1:], grid.size)
-    upto[last] = grid.size
-    seg = np.repeat(np.arange(t.size), upto - first)
-    out = before[seg] + (np.tile(grid, lens.size) - t[seg]).reshape(col) * levels[seg]
-    return out.reshape((lens.size, grid.size) + tail)
 
 
 @dataclass(frozen=True)
@@ -280,15 +257,30 @@ def _simulate(model: HmmModel, horizon: float, dt: float, seed, indices, chain: 
         return None, incs
     paths = PathBatch(x0, times, states, offsets, float(horizon))
     if drift:
-        t, s, off = paths.segments()
-        grid = np.arange(n + 1) * dt
-        block = max(1, OCCUPATION_BLOCK // grid.size)
-        for a in range(0, len(paths), block):
-            b = min(a + block, len(paths))
-            lo, hi = off[a], off[b]
-            cum = _occupation(t[lo:hi], s[lo:hi], off[a:b + 1] - lo, model.obs.entries, grid)
-            incs[a:b] += np.diff(cum, axis=1)
+        _add_drift(incs, paths, model.obs.entries, dt)
     return paths, incs
+
+
+def _add_drift(incs: Array, paths: PathBatch, values: Array, dt: float) -> None:
+    """Add ``int_{t_k}^{t_{k+1}} values[X_s] ds`` to step ``k`` of every path of
+    ``incs`` (paths, n, m) by the module's drift rule: the levels at the step
+    starts in blocks of ``DRIFT_BLOCK`` path steps, then each jump's term."""
+    n = incs.shape[1]
+    grid = np.arange(n + 1) * dt
+    t, s, off = paths.segments()
+    step = np.searchsorted(grid, t, side="left") - 1   # a jump's step; -1 at each path's start
+    first = np.minimum(step + 1, n)                    # the first step a segment starts in
+    held = np.diff(first, append=n)                    # steps that start in each segment
+    held[off[1:] - 1] = n - first[off[1:] - 1]
+    block = max(1, DRIFT_BLOCK // n)
+    for a in range(0, len(paths), block):
+        b = min(a + block, len(paths))
+        lo, hi = off[a], off[b]
+        incs[a:b] += (values[np.repeat(s[lo:hi], held[lo:hi])] * dt).reshape(b - a, n, -1)
+    jump = np.flatnonzero((step >= 0) & (step < n))
+    path_of = np.searchsorted(off, jump, side="right") - 1
+    gain = (values[s[jump]] - values[s[jump - 1]]) * (grid[step[jump] + 1] - t[jump])[:, None]
+    np.add.at(incs, (path_of, step[jump]), gain)       # in index order: jumps in time order
 
 
 def _jump_sampler(model: HmmModel, horizon: float):

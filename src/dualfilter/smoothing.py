@@ -100,29 +100,35 @@ def forward_backward_smoother(model: HmmModel, obs, prior=None) -> SmoothingPath
 
     Both run the forward kernel of :mod:`dualfilter.filters`, the backward
     one on ``w_{j+1} = g_{n-2-j} . (expm(A dt) w_j)``, ``w_0 = g_{n-1}``, so
-    that ``q_k = expm(A dt) w_{n-1-k}``.
+    that ``q_k = expm(A dt) w_{n-1-k}``.  A state outside the forward support
+    at a node gets zero backward likelihood there, so it cannot make the
+    reachable states underflow.  The smoothed rows multiply the two scans'
+    normalized rows, whose scales cancel, so the log masses add no roundoff.
     """
     prior = _prior_entries(model, model.prior if prior is None else prior)
     n, dt = obs.n_steps, obs.dt
     d = model.dim
     step = expm(model.rate.entries.T * dt).T      # expm(A dt); rows are beliefs
     log_like = _log_likelihoods(model.obs.entries, obs.increments, dt)
-    fwd, log_mass = _scan(step, log_like, prior[:, None], shift=True)
+    fwd, fwd_mass = _scan(step, log_like, prior[:, None], shift=True)
     with np.errstate(divide="ignore"):
-        log_fwd = np.log(fwd[:, :, 0]) + log_mass
+        log_fwd = np.log(fwd[:, :, 0])
 
-    log_bwd = np.zeros((n + 1, d))
+    log_bwd, log_mass = np.zeros((n + 1, d)), np.zeros((0, 1))
     if n:
+        log_like[fwd[1:, :, 0] == 0] = -np.inf
         peak = log_like[-1].max()
         w0 = np.exp(log_like[-1] - peak)
         bwd, log_mass = _scan(step.T, log_like[:-1][::-1], (w0 / w0.sum())[:, None], shift=True)
         log_mass += peak + np.log(w0.sum())
         with np.errstate(divide="ignore"):
-            log_bwd[:-1] = np.log(bwd[::-1, :, 0] @ step.T) + log_mass[::-1]
+            log_bwd[:-1] = np.log(bwd[::-1, :, 0] @ step.T)
 
     joint = log_fwd + log_bwd
     peak = joint.max(axis=1, keepdims=True)               # row log-sum-exp, shifted by the peak
     smoothed = np.exp(joint - (np.log(np.exp(joint - peak).sum(axis=1, keepdims=True)) + peak))
+    log_fwd += fwd_mass
+    log_bwd[:-1] += log_mass[::-1]
     return SmoothingPath(dt=dt, smoothed=smoothed, log_forward=log_fwd, log_backward=log_bwd)
 
 

@@ -18,7 +18,6 @@ integrator that the exact linear-fractional flow replaced.
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import logsumexp
 
 from dualfilter._linalg import drift_step, rk4, simpson, symmetrize, van_loan_discretization
 from dualfilter._rng import path_rng
@@ -141,18 +140,21 @@ def backward_dual_half_grid_loop(model, f, u, dt):
 
 
 def forward_backward_loop(model, obs, prior=None) -> SmoothingPath:
+    """Both log-domain passes step by step in ``np.longdouble``, so that the
+    oracle's roundoff over long records stays below the float64 scan's."""
+    ld = np.longdouble
     prior = as_simplex(model.prior if prior is None else prior)
     n, dt = obs.n_steps, obs.dt
     d = model.dim
-    trans_meas = expm(model.rate.entries.T * dt)
+    trans_meas = expm(model.rate.entries.T * dt).astype(ld)
     trans_fun = trans_meas.T
-    h = model.obs.entries
-    quad = 0.5 * np.sum(h * h, axis=1) * dt
-    log_like = obs.increments @ h.T - quad
+    h = model.obs.entries.astype(ld)
+    quad = 0.5 * np.sum(h * h, axis=1) * ld(dt)
+    log_like = obs.increments.astype(ld) @ h.T - quad
 
-    log_fwd = np.empty((n + 1, d))
+    log_fwd = np.empty((n + 1, d), dtype=ld)
     with np.errstate(divide="ignore"):
-        log_fwd[0] = np.log(prior.entries)
+        log_fwd[0] = np.log(prior.entries.astype(ld))
     for k in range(n):
         prev = log_fwd[k]
         peak = prev.max()
@@ -160,7 +162,7 @@ def forward_backward_loop(model, obs, prior=None) -> SmoothingPath:
         with np.errstate(divide="ignore"):
             log_fwd[k + 1] = np.log(pred) + peak + log_like[k]
 
-    log_bwd = np.empty((n + 1, d))
+    log_bwd = np.empty((n + 1, d), dtype=ld)
     log_bwd[n] = 0.0
     for k in range(n - 1, -1, -1):
         nxt = log_bwd[k + 1] + log_like[k]
@@ -169,8 +171,10 @@ def forward_backward_loop(model, obs, prior=None) -> SmoothingPath:
             log_bwd[k] = np.log(trans_fun @ np.exp(nxt - peak)) + peak
 
     joint = log_fwd + log_bwd
-    smoothed = np.exp(joint - logsumexp(joint, axis=1, keepdims=True))
-    return SmoothingPath(dt=dt, smoothed=smoothed, log_forward=log_fwd, log_backward=log_bwd)
+    peak = joint.max(axis=1, keepdims=True)
+    smoothed = np.exp(joint - peak - np.log(np.exp(joint - peak).sum(axis=1, keepdims=True)))
+    return SmoothingPath(dt=dt, smoothed=smoothed.astype(float), log_forward=log_fwd.astype(float),
+                         log_backward=log_bwd.astype(float))
 
 
 def ctmc_loop(model, horizon, rng):
@@ -209,8 +213,13 @@ def occupation_loop(jump_times, states, horizon, values, grid):
 
 def batch_hmm_loop(model, horizon, dt, n_paths, seed, measure="P"):
     """Path by path: ``([(jump_times, states), ...], increments)``; under
-    ``P_tilde`` no chain is drawn and the list is empty."""
+    ``P_tilde`` no chain is drawn and the list is empty.
+
+    Step by step, each increment is its noise, plus ``h(X_{t_k}) dt`` for
+    the state at the step's start, plus ``(h(new) - h(old)) (t_{k+1} - tau)``
+    for each jump at ``tau`` in ``(t_k, t_{k+1}]``, one jump at a time."""
     n = n_steps_for(horizon, dt)
+    h = model.obs.entries
     paths = []
     incs = np.empty((n_paths, n, model.n_channels))
     grid = np.arange(n + 1) * dt
@@ -222,8 +231,15 @@ def batch_hmm_loop(model, horizon, dt, n_paths, seed, measure="P"):
         jump_times, states = ctmc_loop(model, horizon, rng)
         paths.append((jump_times, states))
         noise = np.sqrt(dt) * rng.standard_normal((n, model.n_channels))
-        cum = occupation_loop(jump_times, states, horizon, model.obs.entries, grid)
-        incs[k] = np.diff(cum, axis=0) + noise
+        j = 0                                   # segment holding the current time
+        for step in range(n):
+            while j + 1 < len(jump_times) and jump_times[j + 1] <= grid[step]:
+                j += 1
+            inc = noise[step] + h[states[j]] * dt
+            while j + 1 < len(jump_times) and jump_times[j + 1] <= grid[step + 1]:
+                j += 1
+                inc = inc + (h[states[j]] - h[states[j - 1]]) * (grid[step + 1] - jump_times[j])
+            incs[k, step] = inc
     return paths, incs
 
 

@@ -222,6 +222,16 @@ class TestRun:
         assert json.loads((out / "manifest.json").read_text())["config"]["model"]["obs"] == [[0.0], [40.0]]
         assert not (out / "gramian.csv").exists()
 
+    def test_reused_out_keeps_only_this_runs_csvs(self, runner, tmp_path):
+        # a run into the directory of another experiment's run removes that
+        # run's CSVs and leaves its own, plus files that are not the CLI's
+        out = tmp_path / "out"
+        assert invoke(runner, "filter", "doeblin_demo", "--out", str(out)).exit_code == 0
+        (out / "notes.csv").write_text("kept\n")
+        assert invoke(runner, "analyze", "counter_example", "--out", str(out)).exit_code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "notes.csv", "subspace.csv",
+                                                         "summary.json"]
+
     def test_chi2_bound_check_can_fail(self, runner, tmp_path):
         # a decay rate far above the Poincare constant claims a bound that
         # the simulated chi-square divergence breaks at every checkpoint

@@ -8,8 +8,8 @@ from scipy import stats
 
 from conftest import bounded_vectors, make_hmm, random_hmm, rate_matrices, simplex_vectors
 from dualfilter.catalog import counter_example, scalar_lg, two_state
-from dualfilter.sim import (ObservationPath, PathBatch, StatePath, batch_hmm_observations, simulate_hmm,
-                            simulate_linear_gaussian, observation_csv, state_path_csv)
+from dualfilter.sim import (ObservationPath, PathBatch, StatePath, _add_drift, batch_hmm_observations,
+                            simulate_hmm, simulate_linear_gaussian, observation_csv, state_path_csv)
 from loop_oracles import batch_hmm_loop, occupation_loop
 
 
@@ -88,6 +88,14 @@ class TestObservation:
         inc = obs.increments.ravel()
         se = inc.std(ddof=1) / np.sqrt(inc.size)
         assert abs(inc.mean() - 2.0 * 0.01) <= 3 * se
+
+    def test_frozen_chain_drift_is_exactly_h_dt(self):
+        # a step with no jump adds h(x) dt to its noise, with no other roundoff
+        m = make_hmm(np.zeros((3, 3)), [[0.3, -1.7], [2.0, 0.1], [-0.7, 5.0]], prior=[0.2, 0.5, 0.3])
+        path, obs = simulate_hmm(m, 1000.0, 0.01, seed=10)
+        _, ref = simulate_hmm(m, 1000.0, 0.01, seed=10, measure="P_tilde")
+        assert len(path.states) == 1
+        assert np.array_equal(obs.increments, ref.increments + m.obs.entries[path.states[0]] * 0.01)
 
     def test_reference_measure_independent_of_state(self):
         m = counter_example()
@@ -252,6 +260,23 @@ class TestBatchSampler:
         grid = np.arange(5) * 0.25
         want = occupation_loop(path.jump_times, path.states, 1.0, h, grid)
         assert np.array_equal(path.occupation_integral(h, grid), want)
+
+    def test_drift_matches_occupation_differences(self):
+        # path 0: a jump on the grid point 0.5, two jumps inside step 2, one
+        # in the last step; path 1 never jumps; path 2 jumps at the horizon
+        h = np.array([[1.0, -2.0], [0.5, 3.0], [-1.5, 0.25]])
+        dt, n = 0.25, 6
+        paths = PathBatch([0, 1, 2], [0.5, 0.55, 0.7, 1.4, 1.5], [2, 1, 0, 1, 0], [0, 4, 4, 5], 1.5)
+        incs = np.zeros((3, n, 2))
+        _add_drift(incs, paths, h, dt)
+        grid = np.arange(n + 1) * dt
+        tol = 4 * np.finfo(float).eps * np.maximum(1.0, grid[1:])[:, None]
+        for k in range(3):
+            want = np.diff(occupation_loop(paths[k].jump_times, paths[k].states, 1.5, h, grid), axis=0)
+            assert np.all(np.abs(incs[k] - want) <= tol)
+        assert np.array_equal(incs[1], np.broadcast_to(h[1] * dt, (n, 2)))
+        assert np.array_equal(incs[0, 1], h[0] * dt)             # the grid-point jump adds 0
+        assert np.array_equal(incs[0, 3], h[0] * dt)             # no jump after two in step 2
 
     def test_path_does_not_depend_on_batch_size(self):
         m = counter_example()

@@ -6,6 +6,7 @@ from scipy.linalg import expm
 from scipy.stats import norm
 
 from conftest import LG3, make_hmm, random_hmm
+from loop_oracles import forward_backward_loop
 from dualfilter.catalog import counter_example, scalar_lg
 from dualfilter.filters import riccati_half_grid, wonham_filter
 from dualfilter.models import LinearGaussianModel, NumericalFailure
@@ -85,6 +86,29 @@ class TestForwardBackward:
         assert np.abs(sm.smoothed[-1] - flow).max() <= 1e-10
         # and the backward pass is identically one in log domain
         assert np.abs(sm.log_backward).max() <= 1e-12
+
+    def test_backward_pass_ignores_states_the_forward_pass_never_reaches(self):
+        # state 2 has no prior mass and no way in, but its likelihood would
+        # dominate the backward message; the smoothed law is the terminal
+        # posterior of a frozen chain on every row
+        m = make_hmm(np.zeros((3, 3)), [0.0, 1 / 120, 17.0], prior=[0.5, 0.5, 0.0])
+        obs = ObservationPath(dt=1.0, increments=np.full((4, 1), 30.0))
+        sm = forward_backward_smoother(m, obs).smoothed
+        p0 = 1.0 / (1.0 + np.exp(1.0 - 1.0 / 7200.0))
+        assert np.abs(sm - [p0, 1.0 - p0, 0.0]).max() <= 1e-13   # step log likelihoods reach 365
+        oracle = forward_backward_loop(m, obs).smoothed
+        finite = np.isfinite(oracle)
+        assert np.abs(sm[finite] - oracle[finite]).max() <= 1e-13
+
+    @pytest.mark.parametrize("seed", [10, 11, 12])
+    def test_uninformative_record_follows_prior_flow(self, seed):
+        # equal h: the smoother is the prior flow p_2(t) = 0.5 exp(-t / 64)
+        # over 3,000 steps, where the scan's roundoff builds up
+        m = make_hmm([[0.0, 0.0], [1 / 64, -1 / 64]], [2.0, 2.0], prior=[0.5, 0.5])
+        inc = np.sqrt(0.1) * np.random.default_rng(seed).standard_normal((3000, 1))
+        sm = forward_backward_smoother(m, ObservationPath(dt=0.1, increments=inc)).smoothed
+        p2 = 0.5 * np.exp(-np.arange(3001) * 0.1 / 64)
+        assert np.abs(sm - np.column_stack([1.0 - p2, p2])).max() <= 1e-13
 
     def test_long_horizon_stays_finite(self, rng):
         # log-domain storage must survive mass decay over thousands of steps
