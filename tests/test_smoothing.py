@@ -6,7 +6,6 @@ from scipy.linalg import expm
 from scipy.stats import norm
 
 from conftest import LG3, make_hmm, random_hmm
-from loop_oracles import forward_backward_loop
 from dualfilter.catalog import counter_example, scalar_lg
 from dualfilter.filters import riccati_half_grid, wonham_filter
 from dualfilter.models import LinearGaussianModel, NumericalFailure
@@ -15,6 +14,7 @@ from dualfilter.smoothing import (EnergyTrajectory, forward_backward_smoother,
                                   fraser_potter_smoother, min_energy_cost,
                                   minimum_energy_trajectory, prediction_error_integral,
                                   reintegrate, rts_smoother)
+from loop_oracles import forward_backward_loop
 
 
 def textbook_forward_backward(trans, emis, prior):
