@@ -3,12 +3,78 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .models import NumericalFailure
 
 PROPAGATOR_POWERS = 64    # steps of a linear-fractional flow between restarts, at most
 PROPAGATOR_GROWTH = 1e2   # largest norm of a power the flow steps with
+
+# Diagonal Pade approximants of exp: degree m, the largest 1-norm it takes in
+# double precision, and the numerator coefficients (Higham 2005, Table 2.3)
+PADE = (
+    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (7, 9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
+                               56.0, 1.0)),
+    (9, 2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                              30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    (13, 5.371920351148152e0, (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+                               1187353796428800.0, 129060195264000.0, 10559470521600.0,
+                               670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+                               960960.0, 16380.0, 182.0, 1.0)),
+)
+
+
+def _pade(a: np.ndarray, m: int, b: tuple) -> np.ndarray:
+    """Degree-``m`` diagonal Pade approximant ``(V - U)^{-1} (V + U)`` of the
+    exponential of each matrix of the stack ``a``, with ``U`` its odd and
+    ``V`` its even part."""
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    else:
+        even = [eye, a2]                  # A^0, A^2, ..., A^(m - 1)
+        while len(even) < (m + 1) // 2:
+            even.append(even[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(even))
+        v = sum(b[2 * k] * p for k, p in enumerate(even))
+    return np.linalg.solve(v - u, v + u)
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of a square matrix, or of each of a stack (..., d, d).
+
+    Scaling and squaring (Higham 2005): the 1-norm of each matrix picks the
+    lowest Pade degree of 3, 5, 7, 9 or 13 that is accurate to unit
+    roundoff, and a matrix past degree 13's bound is scaled by its own power
+    of two, ``2^-s``, so that it fits, and its approximant squared ``s``
+    times.  A result past the float range comes out as inf/nan, without a
+    warning; a non-finite input gives nan.
+    """
+    a = np.asarray(a, dtype=float)
+    stack = a.reshape((-1,) + a.shape[-2:])
+    out = np.full_like(stack, np.nan)
+    norms = np.abs(stack).sum(axis=-2).max(axis=-1)
+    finite = np.isfinite(norms)
+    degree = np.where(finite, np.searchsorted([t for _, t, _ in PADE], norms), -1)
+    squarings = np.zeros(len(stack), dtype=int)
+    past = degree == len(PADE)
+    squarings[past] = np.ceil(np.log2(norms[past] / PADE[-1][1]))
+    degree[past] = len(PADE) - 1
+    for i, (m, _, b) in enumerate(PADE):
+        sel = np.flatnonzero(degree == i)
+        if sel.size:
+            out[sel] = _pade(np.ldexp(stack[sel], -squarings[sel, None, None]), m, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(squarings.max(initial=0)):
+            sel = np.flatnonzero(squarings > j)
+            out[sel] = out[sel] @ out[sel]
+    return out.reshape(a.shape)
 
 
 def orth_basis(vectors: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:

@@ -123,10 +123,8 @@ def run(config: ExperimentConfig) -> int:
     try:
         checks, values, files = runner(config, model)
         failure = None
-    except NumericalFailure as exc:
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:   # LinAlgError is a ValueError
         failure, files = exc, {}
-    except np.linalg.LinAlgError:
-        raise
     except ValueError as exc:       # the library rejects this model for this experiment
         raise click.UsageError(str(exc))
     out = Path(config.out)

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import expm
 
-from ._linalg import affine_scan, drift_step, numerical_rank, orth_basis, rk4, simpson
+from ._linalg import affine_scan, drift_step, expm, numerical_rank, orth_basis, rk4, simpson
 from .filters import chain_riccati, forward_blocks, prior_flow, riccati_half_grid, riccati_rhs
 from .models import HmmModel, LinearGaussianModel, as_simplex
 from .sim import batch_hmm_observations, n_steps_for

@@ -39,10 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import LinAlgError, expm, solve_continuous_are
 
 from ._csv import csv_text, grid_rows
-from ._linalg import PROPAGATOR_POWERS, affine_scan, fractional_flow, rk4
+from ._linalg import PROPAGATOR_POWERS, affine_scan, expm, fractional_flow, rk4, symmetrize
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, as_simplex, q_matrices
 
 Array = NDArray[np.float64]
@@ -369,6 +368,8 @@ def innovation_path(model: HmmModel, beliefs: BeliefPath, obs) -> Array:
 # -- linear-Gaussian and chain Kalman filters ---------------------------------
 
 ARE_RESIDUAL_TOL = 1e-8
+SIGN_STEPS = 100    # Newton steps of the matrix sign iteration, at most
+SIGN_TOL = 1e-8     # relative Newton step that ends it: the error is about its square
 
 
 def riccati_rhs(a: Array, h: Array, q: Array, sigma: Array) -> Array:
@@ -440,22 +441,60 @@ def kalman_bucy(model: LinearGaussianModel, obs) -> GaussianBeliefPath:
     return GaussianBeliefPath(dt=dt, means=means, covs=covs)
 
 
+def _care(a: Array, h: Array, q: Array) -> Array:
+    """Stabilizing solution of ``A^T S + S A + Q - S H H^T S = 0`` from the
+    matrix sign function of its Hamiltonian (Byers 1987).
+
+    ``W = sign(Ham)`` of ``Ham = [[A, -H H^T], [-Q, -A^T]]`` comes from
+    Newton's iteration with determinant scaling.  ``W = -I`` on the stable
+    invariant subspace of ``Ham``, which is the range of ``[I; S]`` for the
+    stabilizing ``S``, so ``[W12; W22 + I] S = -[W11 + I; W21]``.  One Newton
+    step on the residual (Kleinman 1968) then takes ``S`` to roundoff.
+    Raises :class:`numpy.linalg.LinAlgError` when ``Ham`` is singular, when
+    the iteration does not converge (eigenvalues on or near the imaginary
+    axis), or when that system is rank-deficient (the stable subspace is not
+    a graph).
+    """
+    d = a.shape[0]
+    w = np.block([[a, -h @ h.T], [-q, -a.T]])
+    for _ in range(SIGN_STEPS):
+        sign, logdet = np.linalg.slogdet(w)
+        if sign == 0:
+            raise np.linalg.LinAlgError("singular Hamiltonian")
+        c = math.exp(logdet / (2 * d))
+        w, prev = 0.5 * (w / c + c * np.linalg.inv(w)), w
+        if np.abs(w - prev).sum(axis=0).max() <= SIGN_TOL * np.abs(w).sum(axis=0).max():
+            break
+    else:
+        raise np.linalg.LinAlgError("matrix sign iteration did not converge")
+    eye = np.eye(d)
+    s, _, rank, _ = np.linalg.lstsq(np.vstack([w[:d, d:], w[d:, d:] + eye]),
+                                    -np.vstack([w[:d, :d] + eye, w[d:, :d]]), rcond=None)
+    if rank < d:
+        raise np.linalg.LinAlgError("stable subspace is not a graph")
+    s = symmetrize(s)
+    closed_t = (a - h @ h.T @ s).T
+    lyapunov = np.kron(closed_t, eye) + np.kron(eye, closed_t)
+    step = np.linalg.solve(lyapunov, -riccati_rhs(a, h, q, s).ravel())
+    return symmetrize(s + step.reshape(d, d))
+
+
 def solve_are(model: LinearGaussianModel) -> tuple[Array, bool]:
-    """Stationary Riccati solution, from scipy's continuous-time algebraic
-    Riccati (CARE) solver.
+    """Stationary Riccati solution, the stabilizing solution of the
+    continuous-time algebraic Riccati equation (CARE) from :func:`_care`.
 
     Solves ``A^T S + S A + sigma sigma^T - S H H^T S = 0`` and returns
     ``(sigma_inf, hurwitz)``, where the flag reports whether the closed-loop
     matrix ``A^T - sigma_inf H H^T`` has all eigenvalues in the open left
-    half-plane.  Raises :class:`~dualfilter.models.NumericalFailure` when the
-    solver finds no finite stabilizing solution, which is the diagnostic for
-    a model that is not stabilizable/detectable, or when the solution's
+    half-plane.  Raises :class:`~dualfilter.models.NumericalFailure` when
+    there is no finite stabilizing solution, which is the diagnostic for a
+    model that is not stabilizable/detectable, or when the solution's
     residual exceeds ``ARE_RESIDUAL_TOL``.
     """
     a, h, q = model.a_mat, model.h_mat, model.noise_cov
     try:
-        s = solve_continuous_are(a, h, q, np.eye(model.n_channels))
-    except LinAlgError as exc:
+        s = _care(a, h, q)
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"no stationary Riccati solution ({exc}); "
                                "model not stabilizable/detectable") from exc
     if not np.all(np.isfinite(s)):

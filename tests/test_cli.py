@@ -1,14 +1,20 @@
 """Experiment runner: artifacts, determinism, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from conftest import LG3
 from dualfilter import cli
 from dualfilter.cli import EXPERIMENTS, ExperimentConfig, main, run
+from dualfilter.models import HmmModel
 
 
 @pytest.fixture
@@ -222,6 +228,39 @@ class TestRun:
         assert json.loads((out / "manifest.json").read_text())["config"]["model"]["obs"] == [[0.0], [40.0]]
         assert not (out / "gramian.csv").exists()
 
+    def test_linalg_error_is_a_numerical_failure(self, runner, tmp_path, monkeypatch):
+        # a LinAlgError from a runner exits 1 with its message in the
+        # summary and no CSV, like a NumericalFailure (it was a traceback)
+        out = tmp_path / "out"
+        assert invoke(runner, "filter", "two_state", "--horizon", "0.1", "--out", str(out)).exit_code == 0
+        assert (out / "beliefs.csv").exists()
+
+        def singular(config, model):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setitem(EXPERIMENTS["filter"].runners, HmmModel, singular)
+        res = runner.invoke(main, ["filter", "two_state", "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert json.loads((out / "summary.json").read_text())["error"] == "Singular matrix"
+        assert not (out / "beliefs.csv").exists()
+
+    def test_kalman_on_an_unstabilizable_model_exits_one(self, runner, tmp_path):
+        # the unstable mode is neither observed nor forced: no stabilizing
+        # stationary Riccati solution exists
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "schema": 1,
+            "model": {"a_mat": [[1.0, 0.0], [0.0, -1.0]], "h_mat": [[0.0], [1.0]],
+                      "sigma": [[0.0, 0.0], [0.0, 1.0]], "mean0": [0.0, 0.0],
+                      "cov0": [[1.0, 0.0], [0.0, 1.0]]},
+        }))
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["kalman", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 1
+        assert "not stabilizable" in json.loads((out / "summary.json").read_text())["error"]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "summary.json"]
+
     def test_reused_out_keeps_only_this_runs_csvs(self, runner, tmp_path):
         # a run into the directory of another experiment's run removes that
         # run's CSVs and leaves its own, plus files that are not the CLI's
@@ -400,3 +439,27 @@ def test_subcommand_defaults(runner, monkeypatch):
     }
     assert {name: vars(cfg) for name, cfg in configs.items()} == {
         name: {"experiment": name, **base, **fields} for name, fields in expected.items()}
+
+
+# a fresh interpreter: importing the CLI and printing its help
+HELP_CHILD = """\
+import sys
+from dualfilter.cli import main
+try:
+    main(["--help"])
+except SystemExit:
+    pass
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_start_up_imports_no_scipy():
+    # the package needs only numpy's linear algebra; an import of
+    # scipy.linalg would more than double every CLI run's start-up
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", HELP_CHILD], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "Usage:" in done.stdout
+    assert done.stdout.splitlines()[-1] == "[]"

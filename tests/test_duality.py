@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
 from scipy.linalg import expm
 
 from conftest import LG3, make_hmm, random_hmm, rate_matrices
@@ -162,14 +161,13 @@ class TestLtiGramianTransfer:
         # classic reachability identity: with u_t = H' exp(A' t) xi the system
         # -dy/dt = A y + H u driven backward from y_T = 0 reaches y_0 = W xi,
         # and the control energy is xi' W xi
-        from scipy.linalg import expm as _expm
         d, m = 3, 2
         a = rng.standard_normal((d, d))
         h = rng.standard_normal((d, m))
         horizon, n = 1.0, 4000
         dt = horizon / n
         ts = np.linspace(0.0, horizon, n + 1)
-        e_at = np.stack([_expm(a * t) for t in ts])
+        e_at = np.stack([expm(a * t) for t in ts])
         integrand = np.einsum("tij,jk,tlk->til", e_at, h @ h.T, e_at)
         w = np.trapezoid(integrand, dx=dt, axis=0)
         xi = rng.standard_normal(d)
@@ -361,13 +359,12 @@ class TestDeterministicDuality:
         u = np.zeros((n, 1))
         j = dual_cost_deterministic(m, f, u, dt)
         # independent quadrature of the same quantity on a fine grid
-        from scipy.linalg import expm as _expm
         from dualfilter.models import carre_du_champ
         fine = 20_000
         y = f.copy()
-        mu_t = [_expm(m.rate.entries.T * (k * n * dt / fine)) @ m.prior.entries for k in range(fine + 1)]
+        mu_t = [expm(m.rate.entries.T * (k * n * dt / fine)) @ m.prior.entries for k in range(fine + 1)]
         ys = [None] * (fine + 1)
-        step = _expm(m.rate.entries * (n * dt / fine))
+        step = expm(m.rate.entries * (n * dt / fine))
         ys[fine] = f
         for k in range(fine - 1, -1, -1):
             ys[k] = step @ ys[k + 1]
@@ -444,8 +441,7 @@ class TestTreeOracle:
         h = np.array([1.0, -0.5])
         mu = np.array([0.3, 0.7])
         m = make_hmm(a, h, prior=mu)
-        from scipy.linalg import expm as _expm
-        pred = _expm(a * dt).T @ mu
+        pred = expm(a * dt).T @ mu
         s = np.sqrt(dt)
         rho_plus = np.exp(h * s) / (2.0 * np.cosh(h * s))
         post = rho_plus * pred
