@@ -25,10 +25,11 @@ PADE = (
 )
 
 
-def _pade(a: np.ndarray, m: int, b: tuple) -> np.ndarray:
-    """Degree-``m`` diagonal Pade approximant ``(V - U)^{-1} (V + U)`` of the
-    exponential of each matrix of the stack ``a``, with ``U`` its odd and
-    ``V`` its even part."""
+def _pade(a: np.ndarray, b: tuple) -> np.ndarray:
+    """Diagonal Pade approximant ``(V - U)^{-1} (V + U)`` of the exponential
+    of each matrix of the stack ``a``, of degree ``m = len(b) - 1``, with
+    ``U`` its odd and ``V`` its even part."""
+    m = len(b) - 1
     eye = np.eye(a.shape[-1])
     a2 = a @ a
     if m == 13:
@@ -60,16 +61,15 @@ def expm(a) -> np.ndarray:
     stack = a.reshape((-1,) + a.shape[-2:])
     out = np.full_like(stack, np.nan)
     norms = np.abs(stack).sum(axis=-2).max(axis=-1)
-    finite = np.isfinite(norms)
-    degree = np.where(finite, np.searchsorted([t for _, t, _ in PADE], norms), -1)
+    degree = np.where(np.isfinite(norms), np.searchsorted([t for _, t, _ in PADE], norms), -1)
     squarings = np.zeros(len(stack), dtype=int)
     past = degree == len(PADE)
     squarings[past] = np.ceil(np.log2(norms[past] / PADE[-1][1]))
     degree[past] = len(PADE) - 1
-    for i, (m, _, b) in enumerate(PADE):
+    for i, (_, _, b) in enumerate(PADE):
         sel = np.flatnonzero(degree == i)
         if sel.size:
-            out[sel] = _pade(np.ldexp(stack[sel], -squarings[sel, None, None]), m, b)
+            out[sel] = _pade(np.ldexp(stack[sel], -squarings[sel, None, None]), b)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(squarings.max(initial=0)):
             sel = np.flatnonzero(squarings > j)

@@ -36,8 +36,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._csv import csv_text, grid_rows
-from ._linalg import (PROPAGATOR_POWERS, affine_scan, expm, fractional_flow, rk4, simpson, symmetrize,
-                      van_loan_discretization)
+from ._linalg import (PROPAGATOR_POWERS, affine_scan, expm, fractional_flow, rk4, simpson,
+                      symmetrize, van_loan_discretization)
 from .filters import _log_likelihoods, _prior_entries, _scan, riccati_half_grid, riccati_rhs
 from .models import HmmModel, LinearGaussianModel, NumericalFailure
 

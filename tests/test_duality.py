@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
 from scipy.linalg import expm
 
 from conftest import LG3, make_hmm, random_hmm, rate_matrices
