@@ -9,67 +9,49 @@ from .models import NumericalFailure
 PROPAGATOR_POWERS = 64    # steps of a linear-fractional flow between restarts, at most
 PROPAGATOR_GROWTH = 1e2   # largest norm of a power the flow steps with
 
-# Diagonal Pade approximants of exp: degree m, the largest 1-norm it takes in
-# double precision, and the numerator coefficients (Higham 2005, Table 2.3)
-PADE = (
-    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (7, 9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
-                               56.0, 1.0)),
-    (9, 2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
-                              30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-    (13, 5.371920351148152e0, (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-                               1187353796428800.0, 129060195264000.0, 10559470521600.0,
-                               670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-                               960960.0, 16380.0, 182.0, 1.0)),
-)
+# The diagonal Pade approximant of exp of degree 13: the largest 1-norm it
+# takes in double precision, and its numerator coefficients (Higham 2005,
+# Table 2.3), divided by the first, so that expm(0) = I exactly
+THETA_13 = 5.371920351148152e0
+PADE_13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0))
 
 
-def _pade(a: np.ndarray, b: tuple) -> np.ndarray:
-    """Diagonal Pade approximant ``(V - U)^{-1} (V + U)`` of the exponential
-    of each matrix of the stack ``a``, of degree ``m = len(b) - 1``, with
-    ``U`` its odd and ``V`` its even part."""
-    m = len(b) - 1
+def _pade(a: np.ndarray) -> np.ndarray:
+    """Diagonal Pade approximant ``(V - U)^{-1} (V + U)`` of degree 13 of the
+    exponential of each matrix of the stack ``a``, with ``U`` its odd and
+    ``V`` its even part."""
+    b = PADE_13
     eye = np.eye(a.shape[-1])
     a2 = a @ a
-    if m == 13:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    else:
-        even = [eye, a2]                  # A^0, A^2, ..., A^(m - 1)
-        while len(even) < (m + 1) // 2:
-            even.append(even[-1] @ a2)
-        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(even))
-        v = sum(b[2 * k] * p for k, p in enumerate(even))
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     return np.linalg.solve(v - u, v + u)
 
 
 def expm(a) -> np.ndarray:
     """Matrix exponential of a square matrix, or of each of a stack (..., d, d).
 
-    Scaling and squaring (Higham 2005): the 1-norm of each matrix picks the
-    lowest Pade degree of 3, 5, 7, 9 or 13 that is accurate to unit
-    roundoff, and a matrix past degree 13's bound is scaled by its own power
-    of two, ``2^-s``, so that it fits, and its approximant squared ``s``
-    times.  A result past the float range comes out as inf/nan, without a
-    warning; a non-finite input gives nan.
+    Scaling and squaring with the degree-13 Pade approximant (Higham 2005),
+    accurate to unit roundoff for a 1-norm up to ``THETA_13``: each matrix
+    is scaled by its own power of two, ``2^-s`` with the least ``s >= 0``
+    that brings its 1-norm within that bound, and its approximant squared
+    ``s`` times.  A result past the float range comes out as inf/nan,
+    without a warning; a non-finite input gives nan.
     """
     a = np.asarray(a, dtype=float)
     stack = a.reshape((-1,) + a.shape[-2:])
     out = np.full_like(stack, np.nan)
     norms = np.abs(stack).sum(axis=-2).max(axis=-1)
-    degree = np.where(np.isfinite(norms), np.searchsorted([t for _, t, _ in PADE], norms), -1)
+    sel = np.flatnonzero(np.isfinite(norms))
     squarings = np.zeros(len(stack), dtype=int)
-    past = degree == len(PADE)
-    squarings[past] = np.ceil(np.log2(norms[past] / PADE[-1][1]))
-    degree[past] = len(PADE) - 1
-    for i, (_, _, b) in enumerate(PADE):
-        sel = np.flatnonzero(degree == i)
-        if sel.size:
-            out[sel] = _pade(np.ldexp(stack[sel], -squarings[sel, None, None]), b)
+    squarings[sel] = np.ceil(np.log2(np.maximum(norms[sel], THETA_13) / THETA_13))
+    out[sel] = _pade(np.ldexp(stack[sel], -squarings[sel, None, None]))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(squarings.max(initial=0)):
             sel = np.flatnonzero(squarings > j)
@@ -107,29 +89,30 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
+def _van_loan(x: np.ndarray, y: np.ndarray, z: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks ``(E11, E12)`` of ``expm([[X, Y], [0, Z]] dt)``, which hold
+    ``expm(X dt)`` and ``int_0^dt expm(X (dt - s)) Y expm(Z s) ds``
+    (Van Loan 1978)."""
+    d = x.shape[0]
+    block = np.zeros((2 * d, 2 * d))
+    block[:d, :d] = x
+    block[:d, d:] = y
+    block[d:, d:] = z
+    e = expm(block * dt)
+    return e[:d, :d], e[:d, d:]
+
+
 def van_loan_discretization(a_t: np.ndarray, q: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact one-step transition ``F = expm(a_t dt)`` and process-noise
     covariance ``Qd = int_0^dt expm(a_t s) q expm(a_t s)^T ds``."""
-    d = a_t.shape[0]
-    block = np.zeros((2 * d, 2 * d))
-    block[:d, :d] = a_t
-    block[:d, d:] = q
-    block[d:, d:] = -a_t.T
-    e = expm(block * dt)
-    f = e[:d, :d]
-    qd = e[:d, d:] @ f.T
-    return f, symmetrize(qd)
+    f, e12 = _van_loan(a_t, q, -a_t.T, dt)
+    return f, symmetrize(e12 @ f.T)
 
 
 def drift_step(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Pair ``(expm(a dt), int_0^dt expm(a s) ds)`` for stepping linear ODEs
     with piecewise-constant forcing."""
-    d = a.shape[0]
-    e_big = np.zeros((2 * d, 2 * d))
-    e_big[:d, :d] = a
-    e_big[:d, d:] = np.eye(d)
-    e = expm(e_big * dt)
-    return e[:d, :d], e[:d, d:]
+    return _van_loan(a, np.eye(a.shape[0]), np.zeros_like(a), dt)
 
 
 def rk4(rhs, y0, n: int, h: float) -> np.ndarray:

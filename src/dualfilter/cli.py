@@ -30,7 +30,7 @@ from . import __version__
 from . import catalog as catalog_mod
 from ._csv import csv_text, grid_rows
 from .duality import (controllable_subspace, dual_deterministic_markov,
-                      dual_lq_linear_gaussian, duality_check_mc, gramian_mc, is_observable,
+                      dual_lq_linear_gaussian, duality_check_mc, gramian_mc,
                       is_stabilizable)
 from .filters import innovation_path, kalman_bucy, solve_are, zakai_filter
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, model_from_dict
@@ -206,9 +206,9 @@ def _run_smooth_lg(config: ExperimentConfig, model: LinearGaussianModel):
 
 
 def _run_analyze(config: ExperimentConfig, model: HmmModel):
-    sub = controllable_subspace(model, config.tol)
-    observable, complement = is_observable(model, config.tol)
     stabilizable, cert = is_stabilizable(model, config.tol)
+    sub = cert["subspace"]
+    complement = sub.complement()
     a, h = model.rate.entries, model.obs.entries
     closure_res = max(
         [sub.residual(a @ sub.basis[:, k]) for k in range(sub.dim)]
@@ -223,7 +223,7 @@ def _run_analyze(config: ExperimentConfig, model: HmmModel):
     values = {
         "controllable_dim": sub.dim,
         "state_dim": model.dim,
-        "observable": observable,
+        "observable": sub.dim == model.dim,
         "stabilizable": stabilizable,
         "stabilizability_residuals": cert["residuals"],
         "basis": sub.basis,
@@ -324,7 +324,7 @@ def _run_detect_classes(config: ExperimentConfig, model: HmmModel):
 
 
 def _run_kalman_lg(config: ExperimentConfig, model: LinearGaussianModel):
-    sigma_inf, hurwitz = solve_are(model)           # raises on a residual above ARE_RESIDUAL_TOL
+    sigma_inf, hurwitz = solve_are(model)           # raises on a relative residual > ARE_RESIDUAL_TOL
     f = np.random.default_rng(config.seed).standard_normal(model.dim)
     # the ODEs run at the largest step dt / m that does not exceed ODE_STEP
     step = config.dt / math.ceil(config.dt / ODE_STEP * (1.0 - GRID_ALIGN_TOL))

@@ -7,7 +7,9 @@ here works on the function side of that duality:
 * :func:`controllable_subspace` closes ``span{1}`` under ``f -> A f`` and the
   pointwise products ``f -> H^j . f``; its dimension decides observability,
   and its orthogonal complement consists of the unobservable zero-mass
-  measure directions.
+  measure directions.  :func:`lti_controllability`, where the duality
+  reduces to classical linear-systems duality, closes the range of ``H``
+  under ``A`` by the same routine.
 * :func:`gramian_mc` estimates the controllability gramian
   ``11^T + E int Psi^T H H^T Psi dt`` under the reference measure; its rank
   matches the closure dimension.  The Zakai operators ``Psi`` of all paths
@@ -116,29 +118,30 @@ class DualTrajectory:
         return self.y[-1]
 
 
-def controllable_subspace(model: HmmModel, tol: float = RANK_REL_TOL) -> Subspace:
-    """Smallest subspace containing the constants and closed under the
-    generator and pointwise multiplication by each observation column.
+def _closure(start: Array, maps: list, tol: float) -> Subspace:
+    """Smallest subspace holding the columns of ``start`` and closed under
+    each matrix of ``maps``.
 
-    Breadth-first closure with an SVD re-orthonormalization after each pass;
-    the singular-value cutoff is ``tol`` relative to the largest singular
-    value.  Terminates in at most ``d`` passes since the dimension grows by
-    at least one per pass until it stabilizes.
+    Breadth-first, with an SVD re-orthonormalization after each pass; the
+    singular-value cutoff is ``tol`` relative to the largest singular value.
+    Terminates in at most ``d`` passes since the dimension grows by at least
+    one per pass until it stabilizes.
     """
-    d = model.dim
-    a = model.rate.entries
-    h = model.obs.entries
-    basis = orth_basis(np.ones((d, 1)), tol)
-    for _ in range(d + 1):
-        generated = [basis]
-        generated.append(a @ basis)
-        for j in range(h.shape[1]):
-            generated.append(h[:, j][:, None] * basis)
-        new_basis = orth_basis(np.hstack(generated), tol)
+    basis = orth_basis(start, tol)
+    for _ in range(start.shape[0] + 1):
+        new_basis = orth_basis(np.hstack([basis] + [m @ basis for m in maps]), tol)
         if new_basis.shape[1] == basis.shape[1]:
             return Subspace(new_basis, tol)
         basis = new_basis
     return Subspace(basis, tol)
+
+
+def controllable_subspace(model: HmmModel, tol: float = RANK_REL_TOL) -> Subspace:
+    """Smallest subspace containing the constants and closed under the
+    generator and pointwise multiplication by each observation column
+    (:func:`_closure`)."""
+    h = model.obs.entries
+    return _closure(np.ones((model.dim, 1)), [model.rate.entries] + [np.diag(c) for c in h.T], tol)
 
 
 def is_observable(model: HmmModel, tol: float = RANK_REL_TOL) -> tuple[bool, Subspace]:
@@ -176,16 +179,11 @@ def is_stabilizable(model: HmmModel, tol: float = RANK_REL_TOL) -> tuple[bool, d
 
 
 def lti_controllability(a_mat, h_mat, tol: float = RANK_REL_TOL) -> Subspace:
-    """Krylov controllable subspace ``span{H, AH, ..., A^{d-1} H}`` of an LTI pair."""
+    """Controllable subspace ``span{H, AH, ..., A^{d-1} H}`` of an LTI pair:
+    the :func:`_closure` of the range of ``H`` under ``A``."""
     a = np.atleast_2d(np.asarray(a_mat, dtype=float))
     h = np.asarray(h_mat, dtype=float)
-    if h.ndim == 1:
-        h = h[:, None]
-    d = a.shape[0]
-    blocks = [h]
-    for _ in range(d - 1):
-        blocks.append(a @ blocks[-1])
-    return Subspace(orth_basis(np.hstack(blocks), tol), tol)
+    return _closure(h[:, None] if h.ndim == 1 else h, [a], tol)
 
 
 def gramian_mc(model: HmmModel, horizon: float, dt: float, n_paths: int, seed) -> GramianEstimate:

@@ -156,10 +156,17 @@ def _check_hmm_inputs(model: HmmModel, obs) -> None:
 
 
 def _log_likelihoods(h: Array, increments: Array, dt: float) -> Array:
-    """Per-step log correction factors ``h(i)^T dZ - |h(i)|^2 dt / 2``;
-    ``increments`` (..., m) gives shape (..., d)."""
-    out = increments @ h.T
-    out -= 0.5 * np.sum(h * h, axis=1) * dt
+    """Per-step log correction factors ``h(i)^T dZ - |h(i)|^2 dt / 2`` from
+    channel-first increments (m, n, ...), shaped (n, d, ...): a record's
+    steps, or a block of a batch's (m, c, n_paths) time- and state-major.
+    Summed channel by channel, so a path's factors do not depend on the
+    batch it runs in, or on whether it runs alone."""
+    tail = (1,) * (increments.ndim - 2)               # a batch's path axis
+    h_k = h.T.reshape(h.shape[::-1] + tail)           # channel k's h(i), (d, 1, ...)
+    out = h_k[0] * increments[0, :, None]
+    for k in range(1, h.shape[1]):
+        out += h_k[k] * increments[k, :, None]
+    out -= (0.5 * np.sum(h * h, axis=1) * dt).reshape(h_k[0].shape)
     return out
 
 
@@ -241,7 +248,7 @@ def _record_scan(model: HmmModel, obs, x0: Array, shift: bool) -> tuple[Array, A
     """:func:`_scan` of the observation record ``obs`` from the columns of ``x0``."""
     _check_hmm_inputs(model, obs)
     return _scan(expm(model.rate.entries.T * obs.dt).T,
-                 _log_likelihoods(model.obs.entries, obs.increments, obs.dt), x0, shift)
+                 _log_likelihoods(model.obs.entries, obs.increments.T, obs.dt), x0, shift)
 
 
 def _prior_entries(model: HmmModel, prior) -> Array:
@@ -309,7 +316,8 @@ def forward_blocks(model: HmmModel, starts: Array, increments: Array, dt: float,
     step = expm(model.rate.entries.T * dt).T
     x = starts[:, :, None]                            # one start for every path
     scale = np.zeros((k_cols, 1)) if shift else np.ones((k_cols, 1))
-    for b, log_like in _likelihood_blocks(model.obs.entries, increments, dt):
+    for b in range(0, increments.shape[1], BATCH_BLOCK):
+        log_like = _log_likelihoods(model.obs.entries, increments[:, b:b + BATCH_BLOCK].T, dt)
         c = log_like.shape[0]
         rows, logs = np.empty((c + 1, d, k_cols, n_paths)), np.empty((c + 1, k_cols, n_paths))
         rows[0], logs[0] = x, scale                   # broadcast: K starts step as one prior does
@@ -321,21 +329,6 @@ def forward_blocks(model: HmmModel, starts: Array, increments: Array, dt: float,
             np.cumsum(logs, axis=0, out=logs)
         x, scale = rows[c].copy(), logs[c].copy()     # copies: the block is freed once reduced
         yield rows, logs
-
-
-def _likelihood_blocks(h: Array, increments: Array, dt: float):
-    """``(b, log_like)`` per block of ``BATCH_BLOCK`` steps ``b, b + 1, ...``
-    of ``increments`` (n_paths, n_steps, m): the :func:`_log_likelihoods`,
-    formed time- and state-major (c, d, n_paths) channel by channel, so a
-    path's factors do not depend on the batch it runs in."""
-    quad = 0.5 * np.sum(h * h, axis=1)[:, None] * dt
-    for b in range(0, increments.shape[1], BATCH_BLOCK):
-        inc = increments[:, b:b + BATCH_BLOCK].T      # (m, c, n_paths)
-        log_like = h[:, 0, None] * inc[0, :, None]
-        for k in range(1, h.shape[1]):
-            log_like += h[:, k, None] * inc[k, :, None]
-        log_like -= quad
-        yield b, log_like
 
 
 def zakai_filter(model: HmmModel, prior, obs) -> UnnormalizedPath:
@@ -367,7 +360,7 @@ def innovation_path(model: HmmModel, beliefs: BeliefPath, obs) -> Array:
 
 # -- linear-Gaussian and chain Kalman filters ---------------------------------
 
-ARE_RESIDUAL_TOL = 1e-8
+ARE_RESIDUAL_TOL = 1e-8   # CARE residual, relative to the scale of its terms
 SIGN_STEPS = 100    # Newton steps of the matrix sign iteration, at most
 SIGN_TOL = 1e-8     # relative Newton step that ends it: the error is about its square
 
@@ -489,7 +482,9 @@ def solve_are(model: LinearGaussianModel) -> tuple[Array, bool]:
     half-plane.  Raises :class:`~dualfilter.models.NumericalFailure` when
     there is no finite stabilizing solution, which is the diagnostic for a
     model that is not stabilizable/detectable, or when the solution's
-    residual exceeds ``ARE_RESIDUAL_TOL``.
+    residual exceeds ``ARE_RESIDUAL_TOL`` relative to the scale of the
+    equation's terms, ``max|A^T S| + max|Q| + max|S H H^T S|``, which
+    scales as the residual does when the state's units change.
     """
     a, h, q = model.a_mat, model.h_mat, model.noise_cov
     try:
@@ -500,8 +495,11 @@ def solve_are(model: LinearGaussianModel) -> tuple[Array, bool]:
     if not np.all(np.isfinite(s)):
         raise NumericalFailure("non-finite stationary Riccati solution; model not stabilizable/detectable")
     residual = np.abs(riccati_rhs(a, h, q, s)).max()
-    if residual > ARE_RESIDUAL_TOL:
-        raise NumericalFailure(f"stationary residual {residual:g} exceeds {ARE_RESIDUAL_TOL:g}")
+    sh = s @ h
+    scale = np.abs(a.T @ s).max() + np.abs(q).max() + np.abs(sh @ sh.T).max()
+    if residual > ARE_RESIDUAL_TOL * scale:
+        raise NumericalFailure(f"stationary residual {residual:g} exceeds {ARE_RESIDUAL_TOL:g} "
+                               f"of its terms' scale {scale:g}")
     hurwitz = bool(np.all(np.linalg.eigvals(a.T - s @ h @ h.T).real < 0))
     return s, hurwitz
 

@@ -108,7 +108,7 @@ def forward_backward_smoother(model: HmmModel, obs, prior=None) -> SmoothingPath
     n, dt = obs.n_steps, obs.dt
     d = model.dim
     step = expm(model.rate.entries.T * dt).T      # expm(A dt); rows are beliefs
-    log_like = _log_likelihoods(model.obs.entries, obs.increments, dt)
+    log_like = _log_likelihoods(model.obs.entries, obs.increments.T, dt)
     fwd, fwd_mass = _scan(step, log_like, prior[:, None], shift=True)
     with np.errstate(divide="ignore"):
         log_fwd = np.log(fwd[:, :, 0])

@@ -157,6 +157,26 @@ class TestLtiControllability:
         assert lti_controllability(a, e_d).dim == d
 
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_closure_matches_krylov_range(self, seed):
+        # controllable pairs, and pairs with an uncontrollable part (A block
+        # triangular, H in the first r coordinates) in a random basis
+        rng = np.random.default_rng(seed)
+        d, n_in = int(rng.integers(1, 7)), int(rng.integers(1, 3))
+        a, h = rng.standard_normal((d, d)), rng.standard_normal((d, n_in))
+        r = int(rng.integers(0, d + 1)) if seed % 2 else d
+        a[r:, :r] = 0.0
+        h[r:] = 0.0
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        a, h = basis @ a @ basis.T, basis @ h
+        krylov = np.hstack([np.linalg.matrix_power(a, k) @ h for k in range(d)])
+        u, sv, _ = np.linalg.svd(krylov)
+        ref = u[:, :int(np.sum(sv > 1e-9 * sv[0]))] if sv[0] > 0 else np.zeros((d, 0))
+        sub = lti_controllability(a, h)
+        assert sub.dim == ref.shape[1] <= r
+        assert np.abs(sub.basis @ sub.basis.T - ref @ ref.T).max() <= 1e-10
+
+
 class TestLtiGramianTransfer:
     def test_gramian_control_achieves_transfer_with_minimal_energy(self, rng):
         # classic reachability identity: with u_t = H' exp(A' t) xi the system

@@ -217,6 +217,28 @@ class TestForwardKernel:
         batch = wonham_filter_batch(m, m.prior, incs, 0.01, keep_every=3)
         assert np.abs(batch - wonham_batch_loop(m, m.prior, incs, 0.01, 3)).max() <= 1e-13
 
+    def test_single_record_and_batch_form_the_same_likelihoods(self, monkeypatch):
+        # two channels: the record's likelihoods as the kernel takes them,
+        # alone (through the chunked scan) and as one path of a batch (through
+        # the block stream), equal bit for bit
+        m = random_hmm(np.random.default_rng(31), d=3, m=2)
+        _, incs = batch_hmm_observations(m, 0.5, 0.01, 20, seed=32)
+        def recording(fn, store):                         # both take the likelihoods second
+            def call(*args, **kwargs):
+                store.append(args[1].copy())
+                return fn(*args, **kwargs)
+            return call
+
+        scanned, advanced = [], []
+        monkeypatch.setattr(filters, "_scan", recording(filters._scan, scanned))
+        for inc in incs:
+            wonham_filter(m, m.prior, ObservationPath(dt=0.01, increments=inc))
+        monkeypatch.setattr(filters, "_advance", recording(filters._advance, advanced))
+        wonham_filter_batch(m, m.prior, incs, 0.01)
+        batch = np.concatenate(advanced)                  # (n_steps, d, n_paths)
+        for p, log_like in enumerate(scanned):
+            assert np.array_equal(np.exp(log_like), batch[:, :, p]), p
+
     def test_failure_names_the_loop_step_without_warnings(self):
         # likelihoods [1, 0] at every step but step 37, where both underflow
         m = make_hmm([[-1.0, 1.0], [1.0, -1.0]], [800.0, -800.0])
@@ -731,6 +753,16 @@ class TestSolveAre:
             assert np.abs(sig - ref).max() <= 1e-10 * np.abs(ref).max(), seed
             compared += 1
         assert compared >= 200
+
+    @pytest.mark.parametrize("k", [1e5, 1e6])
+    def test_verdict_does_not_depend_on_units(self, k):
+        # LG3 with its state measured in units k times smaller: the residual
+        # grows as k^2, the scale of the equation's terms with it
+        m = LinearGaussianModel(LG3.a_mat, LG3.h_mat / k, LG3.sigma * k, LG3.mean0, LG3.cov0 * k * k)
+        sig, hurwitz = solve_are(m)
+        ref, _ = solve_are(LG3)
+        assert hurwitz
+        assert np.abs(sig / (k * k) - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 class TestKfMarkovChain:
