@@ -1,4 +1,6 @@
-"""Configuration-driven experiment runner.
+"""Configuration-driven experiment runner, and the package's only artifact
+writer: the library returns arrays and dataclasses, and this module formats
+and writes every file.
 
 Every experiment writes, under the output directory:
 
@@ -7,11 +9,19 @@ Every experiment writes, under the output directory:
 * one CSV per metric;
 * ``summary.json`` -- computed values plus one pass/fail entry per check.
 
+A CSV is a header line and one newline-terminated line per row.  Cells
+print with ``str``, which gives a float its shortest round-trip form.  Rows
+hold Python scalars (``array_row.tolist()``, one row at a time): those
+format faster than numpy scalars, and converting a whole array at once
+would hold every row's objects in memory together.
+
 A run checks its configuration and computes the experiment in memory before
 it writes anything, so a usage error leaves the output directory untouched.
-Exit status: 0 when every check passes, 1 on a failed check or numerical
-failure, 2 on usage errors.  Identical configurations and seeds produce
-byte-identical CSV output.
+It writes its files into a temporary directory inside the output directory,
+then moves each into place, ``summary.json`` last, so an ``OSError`` while
+writing leaves the output directory as it was.  Exit status: 0 when every
+check passes, 1 on a failed check or numerical failure, 2 on usage errors.
+Identical configurations and seeds produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -19,6 +29,8 @@ from __future__ import annotations
 import json
 import math
 import sys
+import tempfile
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -28,14 +40,12 @@ import numpy as np
 
 from . import __version__
 from . import catalog as catalog_mod
-from ._csv import csv_text, grid_rows
 from .duality import (controllable_subspace, dual_deterministic_markov,
                       dual_lq_linear_gaussian, duality_check_mc, gramian_mc,
                       is_stabilizable)
 from .filters import innovation_path, kalman_bucy, solve_are, zakai_filter
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, model_from_dict
-from .sim import (GRID_ALIGN_TOL, n_steps_for, observation_csv, simulate_hmm,
-                  simulate_linear_gaussian, state_path_csv)
+from .sim import GRID_ALIGN_TOL, n_steps_for, simulate_hmm, simulate_linear_gaussian
 from .smoothing import discrete_kalman, forward_backward_smoother, fraser_potter_sweep, rts_sweep
 from .stability import (DECOMPOSITION_TOL, PriorPair, chi2_bound_check,
                         ergodic_class_detection, kl_supermartingale_check, pi_constant)
@@ -71,22 +81,50 @@ class Check:
     threshold: float
 
 
-def _jsonify(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+def _json_default(obj):
+    """What ``json`` cannot encode itself: numpy arrays and scalars, frozensets."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, frozenset):
         return sorted(obj)
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(_jsonify(doc), indent=2, sort_keys=True) + "\n")
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n"
+
+
+def _csv_text(header: str, rows: Iterable[Iterable]) -> str:
+    """``header`` and one line per row, each newline-terminated."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
+def grid_csv(dt: float, names: Iterable[str], table: np.ndarray) -> str:
+    """A 2-D array on a uniform time grid: header ``t,<names>``, row ``k``
+    is ``k * dt`` and ``table[k]``."""
+    return _csv_text(",".join(["t", *names]),
+                     ([k * dt, *row.tolist()] for k, row in enumerate(table)))
+
+
+def _names(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}_{i + 1}" for i in range(n)]
+
+
+def _write_files(out: Path, files: dict[str, str]) -> None:
+    """Write ``files`` (name -> text) into ``out`` all or nothing, moving them
+    into place in order once every one is written.  They move one by one: a
+    renamed directory would replace the working directory on ``--out .``."""
+    out.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".partial-", dir=out) as tmp:
+        staged = Path(tmp)
+        for name, text in files.items():
+            (staged / name).write_text(text)
+        for name in {name for e in EXPERIMENTS.values() for name in e.files} - files.keys():
+            (out / name).unlink(missing_ok=True)      # no CSV of an earlier run stays behind
+        for name in files:
+            (staged / name).replace(out / name)
 
 
 def _check_grid_and_paths(config: ExperimentConfig, draws: bool) -> None:
@@ -120,35 +158,25 @@ def run(config: ExperimentConfig) -> int:
     if runner is None:          # every experiment runs on finite-state models
         raise click.UsageError(f"{config.experiment} requires a finite-state model")
     _check_grid_and_paths(config, experiment.draws and type(model) is HmmModel)
+    summary = {"experiment": config.experiment}
     try:
         checks, values, files = runner(config, model)
-        failure = None
     except (NumericalFailure, np.linalg.LinAlgError) as exc:   # LinAlgError is a ValueError
-        failure, files = exc, {}
+        files, summary["error"] = {}, str(exc)
     except ValueError as exc:       # the library rejects this model for this experiment
         raise click.UsageError(str(exc))
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "manifest.json",
-                {"schema": SCHEMA_VERSION, "version": __version__, "config": asdict(config)})
-    for name in {name for e in EXPERIMENTS.values() for name in e.files} - files.keys():
-        (out / name).unlink(missing_ok=True)      # no CSV of an earlier run stays behind
-    if failure is not None:
-        _write_json(out / "summary.json", {"experiment": config.experiment, "error": str(failure)})
-        click.echo(f"numerical failure: {failure}", err=True)
+    else:
+        summary.update(checks=[asdict(c) for c in checks], values=values,
+                       all_passed=all(c.passed for c in checks))
+    manifest = {"schema": SCHEMA_VERSION, "version": __version__, "config": asdict(config)}
+    _write_files(Path(config.out), {"manifest.json": _json_text(manifest), **files,
+                                    "summary.json": _json_text(summary)})     # summary.json last
+    if "error" in summary:
+        click.echo(f"numerical failure: {summary['error']}", err=True)
         return 1
-    for name, text in files.items():
-        (out / name).write_text(text)
-    all_passed = all(c.passed for c in checks)
-    _write_json(out / "summary.json", {
-        "experiment": config.experiment,
-        "checks": [asdict(c) for c in checks],
-        "values": values,
-        "all_passed": all_passed,
-    })
     for c in checks:
         click.echo(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: value={c.value:.6g} threshold={c.threshold:.6g}")
-    if not all_passed:
+    if not summary["all_passed"]:
         click.echo("one or more checks failed", err=True)
         return 1
     return 0
@@ -159,14 +187,15 @@ def run(config: ExperimentConfig) -> int:
 def _run_simulate_hmm(config: ExperimentConfig, model: HmmModel):
     sp, obs = simulate_hmm(model, config.horizon, config.dt, config.seed)
     values = {"n_jumps": len(sp.jump_times) - 1, "n_steps": obs.n_steps}
-    return [], values, {"states.csv": state_path_csv(sp), "observations.csv": observation_csv(obs)}
+    files = {"states.csv": _csv_text("t,state", zip(sp.jump_times.tolist(), sp.states.tolist())),
+             "observations.csv": grid_csv(obs.dt, _names("dZ", obs.n_channels), obs.increments)}
+    return [], values, files
 
 
 def _run_simulate_lg(config: ExperimentConfig, model: LinearGaussianModel):
     xs, obs = simulate_linear_gaussian(model, config.horizon, config.dt, config.seed)
-    head = "t," + ",".join(f"x_{i + 1}" for i in range(model.dim))
-    files = {"states.csv": csv_text(head, grid_rows(config.dt, xs)),
-             "observations.csv": observation_csv(obs)}
+    files = {"states.csv": grid_csv(config.dt, _names("x", model.dim), xs),
+             "observations.csv": grid_csv(obs.dt, _names("dZ", obs.n_channels), obs.increments)}
     return [], {"n_steps": obs.n_steps}, files
 
 
@@ -179,7 +208,7 @@ def _run_filter_hmm(config: ExperimentConfig, model: HmmModel):
     se = float(inn.std(ddof=1) / np.sqrt(inn.size))
     checks = [Check("innovation_mean_zero", mean <= 3 * se + 1e-12, mean, 3 * se)]
     values = {"terminal_belief": bel.beliefs[-1], "log_mass": unn.log_normalizer[-1]}
-    return checks, values, {"beliefs.csv": bel.csv()}
+    return checks, values, {"beliefs.csv": grid_csv(bel.dt, _names("pi", model.dim), bel.beliefs)}
 
 
 def _run_filter_lg(config: ExperimentConfig, model: LinearGaussianModel):
@@ -187,13 +216,18 @@ def _run_filter_lg(config: ExperimentConfig, model: LinearGaussianModel):
     gp = kalman_bucy(model, obs)
     lam = float(np.linalg.eigvalsh(gp.covs).min())
     values = {"terminal_mean": gp.means[-1], "terminal_cov": gp.covs[-1]}
-    return [Check("covariance_psd", lam >= -1e-8, lam, -1e-8)], values, {"beliefs.csv": gp.csv()}
+    d = model.dim
+    names = [*_names("m", d), *(f"Sigma_{i + 1}{j + 1}" for i in range(d) for j in range(d))]
+    table = np.hstack([gp.means, gp.covs.reshape(len(gp.covs), -1)])
+    checks = [Check("covariance_psd", lam >= -1e-8, lam, -1e-8)]
+    return checks, values, {"beliefs.csv": grid_csv(gp.dt, names, table)}
 
 
 def _run_smooth_hmm(config: ExperimentConfig, model: HmmModel):
     _, obs = simulate_hmm(model, config.horizon, config.dt, config.seed)
     sm = forward_backward_smoother(model, obs)
-    return [], {"terminal": sm.smoothed[-1]}, {"smoothed.csv": sm.csv()}
+    files = {"smoothed.csv": grid_csv(sm.dt, _names("smoothed", model.dim), sm.smoothed)}
+    return [], {"terminal": sm.smoothed[-1]}, files
 
 
 def _run_smooth_lg(config: ExperimentConfig, model: LinearGaussianModel):
@@ -202,7 +236,8 @@ def _run_smooth_lg(config: ExperimentConfig, model: LinearGaussianModel):
     r, f = rts_sweep(kf), fraser_potter_sweep(kf)
     gap = float(np.abs(r.smoothed_means - f.smoothed_means).max())
     checks = [Check("two_filter_matches_rts", gap <= 1e-6, gap, 1e-6)]
-    return checks, {"terminal": r.smoothed_means[-1]}, {"smoothed.csv": r.csv()}
+    files = {"smoothed.csv": grid_csv(r.dt, _names("x", model.dim), r.smoothed_means)}
+    return checks, {"terminal": r.smoothed_means[-1]}, files
 
 
 def _run_analyze(config: ExperimentConfig, model: HmmModel):
@@ -232,8 +267,8 @@ def _run_analyze(config: ExperimentConfig, model: HmmModel):
     rows = [[f"{label}_{k + 1}", *vec.tolist()]
             for label, basis in (("basis", sub.basis), ("complement", complement.basis))
             for k, vec in enumerate(basis.T)]
-    head = "vector," + ",".join(f"e_{i + 1}" for i in range(model.dim))
-    return checks, values, {"subspace.csv": csv_text(head, rows)}
+    head = ",".join(["vector", *_names("e", model.dim)])
+    return checks, values, {"subspace.csv": _csv_text(head, rows)}
 
 
 def _run_gramian(config: ExperimentConfig, model: HmmModel):
@@ -245,7 +280,7 @@ def _run_gramian(config: ExperimentConfig, model: HmmModel):
     rows = ([i + 1, j + 1, est.mean[i, j].item(), est.stderr[i, j].item()]
             for i in range(d) for j in range(d))
     values = {"rank": rank, "closure_dim": sub.dim, "mean": est.mean, "stderr": est.stderr}
-    return checks, values, {"gramian.csv": csv_text("i,j,mean,stderr", rows)}
+    return checks, values, {"gramian.csv": _csv_text("i,j,mean,stderr", rows)}
 
 
 def _duality_gap(config: ExperimentConfig, model: HmmModel, u, f, seed):
@@ -265,7 +300,7 @@ def _run_duality_check(config: ExperimentConfig, model: HmmModel):
         j, mse, se, z = _duality_gap(config, model, u, f, config.seed + trial)
         checks.append(Check(f"duality_gap_control_{trial}", z <= 3.0, z, 3.0))
         rows.append([trial, float(j), mse, se, float(z)])
-    return checks, {"f": f}, {"duality.csv": csv_text("control,j_value,mse,stderr,z", rows)}
+    return checks, {"f": f}, {"duality.csv": _csv_text("control,j_value,mse,stderr,z", rows)}
 
 
 def _run_stability(config: ExperimentConfig, model: HmmModel):
@@ -306,8 +341,11 @@ def _run_stability(config: ExperimentConfig, model: HmmModel):
                  for key in ("times", "lhs", "rhs", "stderr")),
                np.asarray(report["holds"], dtype=int).tolist())
     values["chi2_prior"] = report["chi2_prior"]
-    files = {"chi2_bound.csv": csv_text("t,lhs,rhs,stderr,holds", rows),
-             "divergences.csv": report["trace"].csv()}
+    tr = report["trace"]
+    names = ["chi2", "chi2_stderr", "kl", "kl_stderr", "tv", "tv_stderr"]
+    table = np.column_stack([getattr(tr, name) for name in names])
+    files = {"chi2_bound.csv": _csv_text("t,lhs,rhs,stderr,holds", rows),
+             "divergences.csv": grid_csv(tr.dt, names, table)}
     return checks, values, files
 
 
@@ -320,7 +358,7 @@ def _run_detect_classes(config: ExperimentConfig, model: HmmModel):
                     DECOMPOSITION_TOL)]
     rows = ([k + 1, "|".join(str(s) for s in cls), float(rep["detection_error"][k]),
              float(rep["detection_stderr"][k])] for k, cls in enumerate(rep["classes"]))
-    return checks, rep, {"detection.csv": csv_text("class,states,detection_error,stderr", rows)}
+    return checks, rep, {"detection.csv": _csv_text("class,states,detection_error,stderr", rows)}
 
 
 def _run_kalman_lg(config: ExperimentConfig, model: LinearGaussianModel):

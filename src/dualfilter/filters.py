@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._csv import csv_text, grid_rows
 from ._linalg import PROPAGATOR_POWERS, affine_scan, expm, fractional_flow, rk4, symmetrize
 from .models import HmmModel, LinearGaussianModel, NumericalFailure, as_simplex, q_matrices
 
@@ -64,11 +63,6 @@ class BeliefPath:
 
     def grid(self) -> Array:
         return np.arange(self.beliefs.shape[0]) * self.dt
-
-    def csv(self) -> str:
-        d = self.beliefs.shape[1]
-        head = "t," + ",".join(f"pi_{i + 1}" for i in range(d))
-        return csv_text(head, grid_rows(self.dt, self.beliefs))
 
 
 @dataclass(frozen=True)
@@ -141,13 +135,6 @@ class GaussianBeliefPath:
 
     def grid(self) -> Array:
         return np.arange(self.means.shape[0]) * self.dt
-
-    def csv(self) -> str:
-        d = self.means.shape[1]
-        head = ("t," + ",".join(f"m_{i + 1}" for i in range(d)) + ","
-                + ",".join(f"Sigma_{i + 1}{j + 1}" for i in range(d) for j in range(d)))
-        n = self.means.shape[0]
-        return csv_text(head, grid_rows(self.dt, np.hstack([self.means, self.covs.reshape(n, -1)])))
 
 
 def _check_hmm_inputs(model: HmmModel, obs) -> None:

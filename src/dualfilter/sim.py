@@ -32,7 +32,6 @@ from typing import Literal
 import numpy as np
 from numpy.typing import NDArray
 
-from ._csv import csv_text, grid_rows
 from ._linalg import affine_scan
 from ._rng import path_rng
 from .models import HmmModel, LinearGaussianModel
@@ -320,16 +319,3 @@ def _jump_sampler(model: HmmModel, horizon: float):
         return x0
 
     return draw
-
-
-# -- CSV export ---------------------------------------------------------------
-
-def state_path_csv(path: StatePath) -> str:
-    """Jump representation, columns ``t,state``."""
-    return csv_text("t,state", zip(path.jump_times.tolist(), path.states.tolist()))
-
-
-def observation_csv(obs: ObservationPath) -> str:
-    """Increment representation, columns ``t,dZ_1..dZ_m`` (t = step start)."""
-    cols = ",".join(f"dZ_{j + 1}" for j in range(obs.n_channels))
-    return csv_text(f"t,{cols}", grid_rows(obs.dt, obs.increments))

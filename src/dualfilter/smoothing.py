@@ -35,7 +35,6 @@ from itertools import accumulate
 import numpy as np
 from numpy.typing import NDArray
 
-from ._csv import csv_text, grid_rows
 from ._linalg import (PROPAGATOR_POWERS, affine_scan, expm, fractional_flow, rk4, simpson,
                       symmetrize, van_loan_discretization)
 from .filters import _log_likelihoods, _prior_entries, _scan, riccati_half_grid, riccati_rhs
@@ -64,11 +63,6 @@ class SmoothingPath:
     def grid(self) -> Array:
         return np.arange(self.smoothed.shape[0]) * self.dt
 
-    def csv(self) -> str:
-        d = self.smoothed.shape[1]
-        return csv_text("t," + ",".join(f"smoothed_{i + 1}" for i in range(d)),
-                        grid_rows(self.dt, self.smoothed))
-
 
 @dataclass(frozen=True)
 class GaussianSmoothingPath:
@@ -82,11 +76,6 @@ class GaussianSmoothingPath:
 
     def grid(self) -> Array:
         return np.arange(self.smoothed_means.shape[0]) * self.dt
-
-    def csv(self) -> str:
-        d = self.smoothed_means.shape[1]
-        return csv_text("t," + ",".join(f"x_{i + 1}" for i in range(d)),
-                        grid_rows(self.dt, self.smoothed_means))
 
 
 def forward_backward_smoother(model: HmmModel, obs, prior=None) -> SmoothingPath:

@@ -17,7 +17,6 @@ from typing import Literal
 import numpy as np
 from numpy.typing import NDArray
 
-from ._csv import csv_text, grid_rows
 from .filters import wonham_blocks, wonham_filter_batch
 from .models import HmmModel, as_simplex, ergodic_classes, invariant_measure, q_matrices
 from .sim import batch_hmm_observations, n_steps_for
@@ -100,11 +99,6 @@ class DivergenceTrace:
 
     def grid(self) -> Array:
         return np.arange(self.chi2.shape[0]) * self.dt
-
-    def csv(self) -> str:
-        table = np.column_stack([self.chi2, self.chi2_stderr, self.kl, self.kl_stderr,
-                                 self.tv, self.tv_stderr])
-        return csv_text("t,chi2,chi2_stderr,kl,kl_stderr,tv,tv_stderr", grid_rows(self.dt, table))
 
 
 def _mean_stderr(x: Array) -> tuple[Array, Array]:

@@ -1,5 +1,7 @@
 """Experiment runner: artifacts, determinism, exit codes."""
 
+import errno
+import itertools
 import json
 import os
 import re
@@ -271,6 +273,40 @@ class TestRun:
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "notes.csv", "subspace.csv",
                                                          "summary.json"]
 
+    @pytest.mark.parametrize("experiment, fields, csvs", [
+        ("filter", {"model": "doeblin_demo", "horizon": 0.5}, ["beliefs.csv"]),
+        ("gramian", {"model": {"rate": [[0.0, 0.0], [0.0, 0.0]], "obs": [[0.0], [40.0]],
+                               "prior": [0.5, 0.5]},
+                     "horizon": 5.0, "dt": 1.0, "n_paths": 50}, []),    # a numerical failure
+    ])
+    def test_failed_write_leaves_out_as_it_was(self, tmp_path, monkeypatch, experiment, fields, csvs):
+        # an OSError at the k-th file write, for every k, over an earlier
+        # run's output: no new file, no CSV removed, no temporary directory
+        out = tmp_path / "out"
+        assert run(ExperimentConfig(experiment="simulate", horizon=0.5, out=str(out))) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        write_text = Path.write_text
+        for k in itertools.count(1):
+            calls = []
+
+            def failing(path, text):
+                calls.append(path)
+                if len(calls) == k:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return write_text(path, text)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Path, "write_text", failing)
+                try:
+                    run(ExperimentConfig(experiment=experiment, out=str(out), **fields))
+                except OSError:
+                    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+                    continue
+            break
+        assert len(calls) == k - 1 >= 2         # each write failed once before a run completed
+        assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", "summary.json", *csvs])
+        assert json.loads((out / "summary.json").read_text())["experiment"] == experiment
+
     def test_chi2_bound_check_can_fail(self, runner, tmp_path):
         # a decay rate far above the Poincare constant claims a bound that
         # the simulated chi-square divergence breaks at every checkpoint
@@ -320,19 +356,28 @@ class TestRun:
         assert res.exit_code == 2
 
 
-# every CSV an experiment writes, at a size that runs in about a second
+# every CSV an experiment writes, with its header, at a size that runs in
+# about a second
 SMALL_RUNS = [
-    ("simulate", "doeblin_demo", {}),
-    ("simulate", "scalar_lg", {}),
-    ("filter", "doeblin_demo", {}),
-    ("filter", "scalar_lg", {}),
-    ("smooth", "doeblin_demo", {}),
-    ("smooth", "scalar_lg", {"dt": 1e-3}),
-    ("analyze", "counter_example", {}),
-    ("gramian", "counter_example", {"n_paths": 20, "horizon": 1.0, "dt": 0.05}),
-    ("duality-check", "doeblin_demo", {"n_paths": 20, "horizon": 0.5}),
-    ("stability", "doeblin_demo", {"n_paths": 20, "horizon": 1.0}),
-    ("detect-classes", "two_class_demo", {"n_paths": 10, "horizon": 2.0}),
+    ("simulate", "doeblin_demo", {}, {"states.csv": "t,state", "observations.csv": "t,dZ_1"}),
+    ("simulate", "scalar_lg", {}, {"states.csv": "t,x_1", "observations.csv": "t,dZ_1"}),
+    ("simulate", LG3, {}, {"states.csv": "t,x_1,x_2,x_3", "observations.csv": "t,dZ_1,dZ_2"}),
+    ("filter", "doeblin_demo", {}, {"beliefs.csv": "t,pi_1,pi_2,pi_3"}),
+    ("filter", "scalar_lg", {}, {"beliefs.csv": "t,m_1,Sigma_11"}),
+    ("filter", LG3, {}, {"beliefs.csv": "t,m_1,m_2,m_3,Sigma_11,Sigma_12,Sigma_13,Sigma_21,"
+                                        "Sigma_22,Sigma_23,Sigma_31,Sigma_32,Sigma_33"}),
+    ("smooth", "doeblin_demo", {}, {"smoothed.csv": "t,smoothed_1,smoothed_2,smoothed_3"}),
+    ("smooth", "scalar_lg", {"dt": 1e-3}, {"smoothed.csv": "t,x_1"}),
+    ("analyze", "counter_example", {}, {"subspace.csv": "vector,e_1,e_2,e_3,e_4"}),
+    ("gramian", "counter_example", {"n_paths": 20, "horizon": 1.0, "dt": 0.05},
+     {"gramian.csv": "i,j,mean,stderr"}),
+    ("duality-check", "doeblin_demo", {"n_paths": 20, "horizon": 0.5},
+     {"duality.csv": "control,j_value,mse,stderr,z"}),
+    ("stability", "doeblin_demo", {"n_paths": 20, "horizon": 1.0},
+     {"chi2_bound.csv": "t,lhs,rhs,stderr,holds",
+      "divergences.csv": "t,chi2,chi2_stderr,kl,kl_stderr,tv,tv_stderr"}),
+    ("detect-classes", "two_class_demo", {"n_paths": 10, "horizon": 2.0},
+     {"detection.csv": "class,states,detection_error,stderr"}),
 ]
 INT_COLUMNS = {"state", "i", "j", "control", "holds", "class"}
 CSV_NAMES = {"states", "observations", "beliefs", "smoothed", "subspace", "gramian", "duality",
@@ -360,10 +405,11 @@ def assert_cells_parse(path):
 class TestArtifacts:
     def test_every_csv_cell_parses(self, tmp_path):
         seen = set()
-        for k, (experiment, model, fields) in enumerate(SMALL_RUNS):
+        for k, (experiment, model, fields, headers) in enumerate(SMALL_RUNS):
             out = tmp_path / f"{k}"
             run(ExperimentConfig(experiment=experiment, model=model, out=str(out), **fields))
             assert {p.name for p in out.glob("*.csv")} == set(EXPERIMENTS[experiment].files)
+            assert {p.name: p.read_text().split("\n", 1)[0] for p in out.glob("*.csv")} == headers
             for path in out.glob("*.csv"):
                 assert_cells_parse(path)
                 seen.add(path.stem)

@@ -9,7 +9,7 @@ from scipy import stats
 from conftest import bounded_vectors, make_hmm, random_hmm, rate_matrices, simplex_vectors
 from dualfilter.catalog import counter_example, scalar_lg, two_state
 from dualfilter.sim import (ObservationPath, PathBatch, StatePath, _add_drift, batch_hmm_observations,
-                            simulate_hmm, simulate_linear_gaussian, observation_csv, state_path_csv)
+                            simulate_hmm, simulate_linear_gaussian)
 from loop_oracles import batch_hmm_loop, occupation_loop
 
 
@@ -184,12 +184,6 @@ class TestBatchAndExport:
         sp, obs = simulate_hmm(m, 2.0, 0.01, seed=13, path_index=1)
         assert np.array_equal(paths[1].jump_times, sp.jump_times)
         assert np.array_equal(incs[1], obs.increments)
-
-    def test_csv_headers(self):
-        m = counter_example()
-        sp, obs = simulate_hmm(m, 1.0, 0.1, seed=1)
-        assert state_path_csv(sp).splitlines()[0] == "t,state"
-        assert observation_csv(obs).splitlines()[0] == "t,dZ_1"
 
     def test_observation_path_grid(self):
         obs = ObservationPath(dt=0.5, increments=np.zeros((4, 1)))
