@@ -8,6 +8,7 @@ from scipy import stats
 
 from conftest import bounded_vectors, make_hmm, random_hmm, rate_matrices, simplex_vectors
 from dualfilter.catalog import counter_example, scalar_lg, two_state
+from dualfilter.cli import ExperimentConfig, run
 from dualfilter.sim import (ObservationPath, PathBatch, StatePath, _add_drift, batch_hmm_observations,
                             simulate_hmm, simulate_linear_gaussian)
 from loop_oracles import batch_hmm_loop, occupation_loop
@@ -184,6 +185,18 @@ class TestBatchAndExport:
         sp, obs = simulate_hmm(m, 2.0, 0.01, seed=13, path_index=1)
         assert np.array_equal(paths[1].jump_times, sp.jump_times)
         assert np.array_equal(incs[1], obs.increments)
+
+    def test_csv_headers(self, tmp_path):
+        # the CLI's simulate experiment exports the path simulate_hmm draws
+        sp, obs = simulate_hmm(counter_example(), 1.0, 0.1, seed=1)
+        run(ExperimentConfig(experiment="simulate", model="counter_example", horizon=1.0, dt=0.1,
+                             seed=1, out=str(tmp_path)))
+        states = (tmp_path / "states.csv").read_text().splitlines()
+        observations = (tmp_path / "observations.csv").read_text().splitlines()
+        assert states[0] == "t,state"
+        assert observations[0] == "t,dZ_1"
+        assert len(states) - 1 == len(sp.jump_times)
+        assert len(observations) - 1 == obs.n_steps
 
     def test_observation_path_grid(self):
         obs = ObservationPath(dt=0.5, increments=np.zeros((4, 1)))
